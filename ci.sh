@@ -31,6 +31,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark package builds"
+# maqs_benchmark/ is a package of its own that compiles against crates/*
+# by path and implements QosModule, Mediator, QosImplementation and
+# Servant in its taps. A product API change that breaks it turns the
+# pipeline's benchmark run into run_failed; fail here first. Same
+# real/offline dependency probe as a real run, plus its unit tests.
+bash maqs_benchmark/run.sh test
+
 echo "==> metrics golden (per-layer metric names must stay stable)"
 cargo test -q -p maqs --test metrics_golden
 

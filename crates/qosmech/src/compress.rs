@@ -3,8 +3,10 @@
 //! The paper's performance-category example for transport-level QoS:
 //! trade CPU for bytes on the wire. The codec is a from-scratch
 //! LZ77-style compressor (the offline dependency set has no compression
-//! crate); only the bytes-on-the-wire reduction matters for the
-//! experiment, not codec strength.
+//! crate) built so that binding it is a policy question, not a
+//! performance one: an LZ4-style single-probe encoder that runs at
+//! memory speed on redundant payloads, and a decoder that refuses to
+//! expand a frame past [`orb::wire::MAX_WIRE_FRAME`].
 
 use orb::sync::{LockRank, OrderedRwLock};
 use orb::qos_binding::{Outbound, QosModule};
@@ -13,133 +15,204 @@ use netsim::NodeId;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The LZ77-style codec.
+/// The `MLZ1` codec.
+///
+/// **Format.** `MAGIC`, then a token stream. Token first byte: `0x00,
+/// len(u16 le), bytes` = literal run; `0x01, dist(u16 le), len(u8)` =
+/// copy `len` bytes starting `dist` bytes back in the output (the copy
+/// may overlap its own output, which is how runs are expressed).
+///
+/// **Encoder.** One probe per position: a table of the most recent
+/// position of each hashed 4-byte prefix, no chains. A candidate within
+/// `WINDOW` whose 4 bytes match is extended 8 bytes at a time to the end
+/// of the common run, however long; runs past the 255-byte token limit
+/// are continued at the same distance rather than searched for again.
+/// Literals are sliced straight from the input. The table is
+/// thread-local (16 KiB per compressing thread, cleared per call), so a
+/// call allocates nothing but its output.
+///
+/// **Decoder.** Walks the token headers once to validate them and size
+/// the output exactly, rejecting anything that would decode to more than
+/// [`orb::wire::MAX_WIRE_FRAME`] bytes before allocating, then copies.
 pub mod codec {
+    use std::cell::RefCell;
+
     /// Magic prefix of compressed buffers.
     pub const MAGIC: &[u8; 4] = b"MLZ1";
 
     const WINDOW: usize = 4096;
     const MIN_MATCH: usize = 4;
     const MAX_MATCH: usize = 255;
+    const MAX_LITERAL_RUN: usize = u16::MAX as usize;
+    const HASH_BITS: u32 = 12;
+
+    /// Largest output [`decompress`] will produce: no frame the ORB can
+    /// carry is bigger, so a larger claim is corruption or a bomb.
+    const MAX_OUTPUT: usize = orb::wire::MAX_WIRE_FRAME;
+
+    thread_local! {
+        /// Most recent input position of each hashed 4-byte prefix.
+        /// Entries are only ever candidates: the encoder checks distance
+        /// and bytes before trusting one, so the cleared value 0 needs
+        /// no sentinel.
+        static POSITIONS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn hash(prefix: u32) -> usize {
+        (prefix.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+    }
+
+    fn prefix_at(input: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(input[at..at + 4].try_into().expect("4-byte slice"))
+    }
+
+    /// Length of the common prefix of `a` and `b`, compared a word at a
+    /// time.
+    fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+        let mut n = 0;
+        for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+            let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+                ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+            if diff != 0 {
+                return n + (diff.trailing_zeros() / 8) as usize;
+            }
+            n += 8;
+        }
+        n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
+    }
+
+    fn push_literals(out: &mut Vec<u8>, literals: &[u8]) {
+        for run in literals.chunks(MAX_LITERAL_RUN) {
+            out.push(0x00);
+            out.extend_from_slice(&(run.len() as u16).to_le_bytes());
+            out.extend_from_slice(run);
+        }
+    }
 
     /// Compress `input`.
     ///
-    /// Output layout: `MAGIC`, then a token stream. Token first byte:
-    /// `0x00, len(u16 le), bytes` = literal run; `0x01, dist(u16 le),
-    /// len(u8)` = back-reference. Incompressible inputs grow by at most a
-    /// few bytes per 64 KiB literal run plus the 4-byte magic.
+    /// Incompressible inputs grow by at most 3 bytes per 64 KiB literal
+    /// run plus the 4-byte magic.
     pub fn compress(input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() / 2 + 16);
         out.extend_from_slice(MAGIC);
-        // Chained hash table over 4-byte prefixes for match finding.
-        let mut head = vec![usize::MAX; 1 << 13];
-        let mut prev = vec![usize::MAX; input.len().max(1)];
-        let hash = |w: &[u8]| -> usize {
-            let v = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            (v.wrapping_mul(2654435761) >> 19) as usize & ((1 << 13) - 1)
-        };
-        let mut literals: Vec<u8> = Vec::new();
-        let flush_literals = |out: &mut Vec<u8>, lits: &mut Vec<u8>| {
-            let mut start = 0;
-            while start < lits.len() {
-                let run = (lits.len() - start).min(u16::MAX as usize);
-                out.push(0x00);
-                out.extend_from_slice(&(run as u16).to_le_bytes());
-                out.extend_from_slice(&lits[start..start + run]);
-                start += run;
-            }
-            lits.clear();
-        };
-        let mut i = 0;
-        while i < input.len() {
-            let mut best_len = 0;
-            let mut best_dist = 0;
-            if i + MIN_MATCH <= input.len() {
-                let h = hash(&input[i..i + 4]);
-                let mut cand = head[h];
-                let mut chain = 0;
-                while cand != usize::MAX && i - cand <= WINDOW && chain < 16 {
-                    let mut l = 0;
-                    let max = (input.len() - i).min(MAX_MATCH);
-                    while l < max && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - cand;
-                    }
-                    cand = prev[cand];
-                    chain += 1;
-                }
-                prev[i] = head[h];
-                head[h] = i;
-            }
-            if best_len >= MIN_MATCH {
-                flush_literals(&mut out, &mut literals);
-                out.push(0x01);
-                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-                out.push(best_len as u8);
-                // Insert hash entries for the matched region (cheap, coarse).
-                let end = i + best_len;
-                let mut j = i + 1;
-                while j + 4 <= input.len() && j < end {
-                    let h = hash(&input[j..j + 4]);
-                    prev[j] = head[h];
-                    head[h] = j;
-                    j += 1;
-                }
-                i = end;
-            } else {
-                literals.push(input[i]);
-                i += 1;
-            }
-        }
-        flush_literals(&mut out, &mut literals);
+        POSITIONS.with(|cell| {
+            let mut positions = cell.borrow_mut();
+            positions.clear();
+            positions.resize(1 << HASH_BITS, 0);
+            encode(input, &mut positions, &mut out);
+        });
         out
+    }
+
+    fn encode(input: &[u8], positions: &mut [u32], out: &mut Vec<u8>) {
+        let mut anchor = 0; // start of the literals not yet emitted
+        let mut i = 0;
+        while i + MIN_MATCH <= input.len() {
+            let prefix = prefix_at(input, i);
+            let slot = &mut positions[hash(prefix)];
+            let cand = *slot as usize;
+            // Truncation past 4 GiB only makes the entry look too far away.
+            *slot = i as u32;
+            if cand >= i || i - cand > WINDOW || prefix_at(input, cand) != prefix {
+                i += 1;
+                continue;
+            }
+            let len =
+                MIN_MATCH + common_prefix(&input[cand + MIN_MATCH..], &input[i + MIN_MATCH..]);
+            push_literals(out, &input[anchor..i]);
+            let dist = ((i - cand) as u16).to_le_bytes();
+            let mut left = len;
+            while left >= MIN_MATCH {
+                let n = left.min(MAX_MATCH);
+                out.extend_from_slice(&[0x01, dist[0], dist[1], n as u8]);
+                left -= n;
+            }
+            // A tail too short to be worth a token stays literal.
+            i += len - left;
+            anchor = i;
+        }
+        push_literals(out, &input[anchor..]);
+    }
+
+    enum Token<'a> {
+        Literals(&'a [u8]),
+        Match { dist: usize, len: usize },
+    }
+
+    /// The tokens of a frame body, ending at the first malformed one.
+    struct Tokens<'a>(&'a [u8]);
+
+    impl<'a> Iterator for Tokens<'a> {
+        type Item = Result<Token<'a>, String>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            let (item, rest) = match self.0 {
+                [] => return None,
+                [0x00, lo, hi, rest @ ..] => {
+                    let len = u16::from_le_bytes([*lo, *hi]) as usize;
+                    match rest.split_at_checked(len) {
+                        Some((run, rest)) => (Ok(Token::Literals(run)), rest),
+                        None => (Err("truncated literal run".to_string()), &[][..]),
+                    }
+                }
+                [0x00, ..] => (Err("truncated literal header".to_string()), &[][..]),
+                [0x01, lo, hi, len, rest @ ..] => {
+                    let dist = u16::from_le_bytes([*lo, *hi]) as usize;
+                    (Ok(Token::Match { dist, len: *len as usize }), rest)
+                }
+                [0x01, ..] => (Err("truncated match token".to_string()), &[][..]),
+                [t, ..] => (Err(format!("bad token {t}")), &[][..]),
+            };
+            self.0 = rest;
+            Some(item)
+        }
     }
 
     /// Decompress a buffer produced by [`compress`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the corruption on malformed input.
+    /// Returns a description of the corruption on malformed input, and
+    /// refuses — before allocating — input that would decode to more
+    /// than `orb::wire::MAX_WIRE_FRAME` bytes.
     pub fn decompress(input: &[u8]) -> Result<Vec<u8>, String> {
         let body = input
             .strip_prefix(MAGIC.as_slice())
             .ok_or_else(|| "missing MLZ1 magic".to_string())?;
-        let mut out = Vec::with_capacity(body.len() * 2);
-        let mut i = 0;
-        while i < body.len() {
-            match body[i] {
-                0x00 => {
-                    if i + 3 > body.len() {
-                        return Err("truncated literal header".to_string());
-                    }
-                    let len = u16::from_le_bytes([body[i + 1], body[i + 2]]) as usize;
-                    i += 3;
-                    if i + len > body.len() {
-                        return Err("truncated literal run".to_string());
-                    }
-                    out.extend_from_slice(&body[i..i + len]);
-                    i += len;
+        // Pass 1: every token is well-formed and every match reaches
+        // back into output that exists; the total is the output size.
+        let mut total = 0usize;
+        for token in Tokens(body) {
+            total += match token? {
+                Token::Literals(run) => run.len(),
+                Token::Match { dist, .. } if dist == 0 || dist > total => {
+                    return Err(format!("bad match distance {dist}"));
                 }
-                0x01 => {
-                    if i + 4 > body.len() {
-                        return Err("truncated match token".to_string());
-                    }
-                    let dist = u16::from_le_bytes([body[i + 1], body[i + 2]]) as usize;
-                    let len = body[i + 3] as usize;
-                    i += 4;
-                    if dist == 0 || dist > out.len() {
-                        return Err(format!("bad match distance {dist}"));
-                    }
+                Token::Match { len, .. } => len,
+            };
+            if total > MAX_OUTPUT {
+                return Err(format!("decompressed size exceeds {MAX_OUTPUT} bytes"));
+            }
+        }
+        // Pass 2: copy. Nothing below fails or reallocates.
+        let mut out = Vec::with_capacity(total);
+        for token in Tokens(body) {
+            match token? {
+                Token::Literals(run) => out.extend_from_slice(run),
+                Token::Match { dist, len } => {
+                    // `out[start..]` is periodic in `dist`; appending a
+                    // prefix of it keeps it so, and each round doubles
+                    // what the next may copy. A non-overlapping match is
+                    // one round.
                     let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
+                    let mut left = len;
+                    while left > 0 {
+                        let n = left.min(out.len() - start);
+                        out.extend_from_within(start..start + n);
+                        left -= n;
                     }
                 }
-                t => return Err(format!("bad token {t}")),
             }
         }
         Ok(out)
