@@ -59,57 +59,39 @@ echo "==> chaos (scripted faults vs self-healing client, fixed seed)"
 MAQS_CHAOS_SEED="${MAQS_CHAOS_SEED:-7}" \
     cargo test -q -p maqs --test fault_injection chaos_script_heals_binding
 
-echo "==> e11 hot-path smoke (--quick) + scaling gate"
-# The committed BENCH_hotpath.json is the full-mode reference for the
-# *current* workload (pipelined closed loop); preserve it before the
-# quick run overwrites it. BENCH_hotpath.baseline.json stays in-tree as
-# the historical seed artifact (serial closed loop, pre-sharding) and is
-# not comparable latency-wise: a pipelined window queues ~32 calls, so
-# per-call p50 follows Little's law, not the serial round-trip.
-BENCH_REF="/tmp/maqs-bench-ref.$$.json"
-cp BENCH_hotpath.json "$BENCH_REF"
-cargo bench -q -p maqs-bench --bench e11_hotpath -- --quick
-python3 - "$BENCH_REF" <<'EOF'
-import json, sys
+echo "==> benchmark smoke (every BENCHMARK.json workload, 2 s each, every reply checked)"
+# Correctness of the instrument's workloads on all three backends: no
+# failed call, every reply verified, clean ORB shutdown. Speed is
+# compared only as parent/change pairs by the pipeline, never here.
+# open_burst_netsim may exit nonzero on generator lag, which is a
+# property of the CI box, not of the code; its result line still gates.
+SMOKE_OUT="/tmp/maqs-ci-bench.$$.out"
+for workload in $(python3 -c '
+import json
+print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    status=0
+    timeout 120 bash maqs_benchmark/run.sh --workload "$workload" \
+        --seed 1 --seconds 2 --trace 0 >"$SMOKE_OUT" || status=$?
+    result="$(tail -n 1 "$SMOKE_OUT")"
+    case "$result" in
+    *'"failed":0,'*'"success_ratio":{"value":1,'*) ;;
+    *)
+        echo "    $workload: calls failed: $result" >&2
+        exit 1
+        ;;
+    esac
+    if [ "$status" -ne 0 ] && [ "$workload" != open_burst_netsim ]; then
+        echo "    $workload: exit $status" >&2
+        exit 1
+    fi
+    echo "    $workload -- ok"
+done
+rm -f "$SMOKE_OUT"
 
-ref = json.load(open(sys.argv[1]))       # committed full-mode artifact
-cur = json.load(open("BENCH_hotpath.json"))  # fresh --quick run
-if len(cur["cases"]) != 12:
-    sys.exit(f"BENCH_hotpath.json: expected 12 cases, got {len(cur['cases'])}")
-
-def case(doc, qos, threads):
-    for c in doc["cases"]:
-        if c["payload"] == "null" and c["qos"] == qos and c["dispatch_threads"] == threads:
-            return c
-    sys.exit(f"missing null/qos={qos}/{threads}-thread case")
-
-# 1. Committed artifact: null-call throughput must be monotone in
-#    dispatch threads, for plain and QoS paths alike. Deterministic —
-#    this fails when someone commits an artifact showing negative
-#    scaling, which is the regression this PR exists to prevent.
-for qos in (False, True):
-    rps = [case(ref, qos, t)["throughput_rps"] for t in (1, 2, 4)]
-    if not (rps[0] < rps[1] < rps[2]):
-        sys.exit(f"committed artifact: null/qos={qos} rps {rps} not monotone in threads")
-print(f"    committed artifact: null-call scaling monotone in {{1,2,4}} threads -- ok")
-
-# 2. Fresh run: 4 dispatch threads must not fall below 1 thread on
-#    null calls (5% tolerance: quick runs are short and CI boxes are
-#    noisy; a genuine funnel regression shows 20%+).
-one, four = case(cur, False, 1)["throughput_rps"], case(cur, False, 4)["throughput_rps"]
-if four < one * 0.95:
-    sys.exit(f"negative scaling: 4-thread null rps {four:.0f} < 1-thread {one:.0f}")
-print(f"    fresh run: null-call 4-thread {four:.0f} rps vs 1-thread {one:.0f} -- ok")
-
-# 3. Fresh p50 within 3x of the committed reference (same workload
-#    semantics; generous because CI boxes are noisy, a real regression
-#    is 10x).
-got, want = case(cur, False, 1)["p50_us"], case(ref, False, 1)["p50_us"]
-if got > want * 3:
-    sys.exit(f"hot-path regression: null-call p50 {got:.1f}us vs committed {want:.1f}us (>3x)")
-print(f"    null-call p50 {got:.1f}us (committed {want:.1f}us) -- ok")
-EOF
-rm -f "$BENCH_REF"
+echo "==> offline stand-ins still build the workspace"
+# tools/offline/ is what maqs_benchmark/run.sh and offline containers
+# build against; a box with crates.io would otherwise never compile it.
+tools/offline-check.sh build --workspace --all-targets
 
 echo "==> wire-transport conformance (netsim + TCP + UDS, loopback sockets)"
 # Real sockets can hang; a wall-clock bound keeps the gate un-wedgeable.

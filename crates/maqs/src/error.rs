@@ -49,17 +49,6 @@ impl From<QidlError> for Error {
     }
 }
 
-impl Error {
-    /// Collapse back into an [`OrbError`] (for the deprecated shims that
-    /// predate this type). QIDL failures become `BadParam`.
-    pub fn into_orb(self) -> OrbError {
-        match self {
-            Error::Orb(e) => e,
-            Error::Qidl(e) => OrbError::BadParam(e.to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,17 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn qidl_side_converts_and_collapses() {
+    fn qidl_side_converts() {
         let qerr = qidl::compile("interface {").unwrap_err();
         let e: Error = qerr.into();
         assert!(matches!(e, Error::Qidl(_)));
         assert!(e.source().is_some());
-        assert!(matches!(e.into_orb(), OrbError::BadParam(_)));
-    }
-
-    #[test]
-    fn orb_side_collapses_losslessly() {
-        let e: Error = OrbError::QosViolation("cap".to_string()).into();
-        assert!(matches!(e.into_orb(), OrbError::QosViolation(msg) if msg == "cap"));
     }
 }

@@ -55,20 +55,6 @@ use std::time::{Duration, Instant};
 /// Prefix marking object keys that resolve in the pseudo-object registry.
 pub const PSEUDO_KEY_PREFIX: &str = "pseudo:";
 
-/// How the receive loop spreads incoming requests across the
-/// per-dispatcher queues ([`OrbConfig::dispatch_routing`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchRouting {
-    /// Route by a stable hash of the object key: all calls on one key
-    /// stay ordered on one dispatcher while distinct keys spread across
-    /// the pool. The default — it preserves the per-servant FIFO a
-    /// single dispatcher used to give.
-    KeyAffinity,
-    /// Spray requests round-robin for maximum spread. Use when servants
-    /// are stateless and cross-call ordering per key does not matter.
-    RoundRobin,
-}
-
 /// Tuning knobs for an [`Orb`].
 #[derive(Debug, Clone)]
 pub struct OrbConfig {
@@ -78,17 +64,11 @@ pub struct OrbConfig {
     pub collocated_shortcut: bool,
     /// Number of dispatcher threads executing incoming requests. Each
     /// dispatcher owns a private queue; the receive loop routes into
-    /// them per [`OrbConfig::dispatch_routing`], so dispatchers never
-    /// contend on a shared work channel.
+    /// them by a stable hash of the object key, so dispatchers never
+    /// contend on a shared work channel, all calls on one key stay
+    /// ordered on one dispatcher, and distinct keys spread across the
+    /// pool.
     pub dispatch_threads: usize,
-    /// Request-to-dispatcher routing policy (default
-    /// [`DispatchRouting::KeyAffinity`]).
-    pub dispatch_routing: DispatchRouting,
-    /// Maximum frames the receive loop drains from the transport inbox
-    /// per wakeup (≥ 1) before flushing per-dispatcher batches. Larger
-    /// values amortize queue wakeups under load; light-load latency is
-    /// unaffected because draining stops the moment the inbox is empty.
-    pub recv_batch: usize,
     /// Trace-sampling period consulted by [`Orb::trace_sampled`]: attach
     /// a [`TraceContext`] to every `n`-th request. `1` (the default)
     /// traces everything, `0` traces nothing. Metrics are unconditional
@@ -106,8 +86,6 @@ impl Default for OrbConfig {
             request_timeout: Duration::from_secs(5),
             collocated_shortcut: true,
             dispatch_threads: 1,
-            dispatch_routing: DispatchRouting::KeyAffinity,
-            recv_batch: 32,
             trace_sample_every: 1,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
@@ -1079,15 +1057,18 @@ impl Orb {
                 // a burst (`shutdown()` pokes the transport — an empty
                 // frame, the backend-independent wakeup — so the blocked
                 // recv wakes), then opportunistically drain up to
-                // `recv_batch` more frames without blocking. Requests
+                // `RECV_BURST` more frames without blocking. Requests
                 // accumulate in per-dispatcher buckets and flush as one
                 // command per dispatcher per burst; replies are matched
                 // inline.
+                //
+                // The burst bound amortizes queue wakeups under load;
+                // light-load latency is unaffected because draining stops
+                // the moment the inbox is empty.
+                const RECV_BURST: usize = 32;
                 let n_queues = inner.dispatch_tx.len();
                 let mut buckets: Vec<Vec<DispatchWork>> =
                     (0..n_queues).map(|_| Vec::new()).collect();
-                let mut rr_next = 0usize;
-                let burst = inner.config.recv_batch.max(1);
                 loop {
                     let frame = match inner.wire.recv() {
                         Ok(f) => f,
@@ -1097,7 +1078,7 @@ impl Orb {
                         break;
                     }
                     if !frame.payload.is_empty() {
-                        Orb::handle_frame(&inner, &frame, &mut buckets, &mut rr_next);
+                        Orb::handle_frame(&inner, &frame, &mut buckets);
                     }
                     let mut drained = 1;
                     // Bounded gather: when the inbox runs dry mid-burst,
@@ -1110,11 +1091,11 @@ impl Orb {
                     // blocking recv got a frame first), so it adds no
                     // latency to quiet traffic.
                     let mut gather = 2u32;
-                    while drained < burst {
+                    while drained < RECV_BURST {
                         match inner.wire.try_recv() {
                             Ok(Some(f)) => {
                                 if !f.payload.is_empty() {
-                                    Orb::handle_frame(&inner, &f, &mut buckets, &mut rr_next);
+                                    Orb::handle_frame(&inner, &f, &mut buckets);
                                 }
                                 drained += 1;
                             }
@@ -1201,15 +1182,14 @@ impl Orb {
 
     /// Receive-loop frame handler. Requests are *routed*, not decoded:
     /// [`giop::peek`] reads only the tag and object key, the body ships
-    /// raw to the dispatcher picked by `dispatch_routing`, and the full
-    /// decode happens there. Replies are decoded and matched inline —
+    /// raw to the dispatcher its key hashes to, and the full decode
+    /// happens there. Replies are decoded and matched inline —
     /// the pending caller is parked on its slot and nothing else can
     /// deliver to it.
     fn handle_frame(
         inner: &Arc<OrbInner>,
         frame: &WireFrame,
         buckets: &mut [Vec<DispatchWork>],
-        rr_next: &mut usize,
     ) {
         let src = frame.src;
         let transit_vus = frame.transit_us;
@@ -1286,14 +1266,7 @@ impl Orb {
         match giop::peek(&giop_bytes) {
             Err(_) => drop_packet(),
             Ok(GiopPeek::Request { key_hash }) => {
-                let idx = match inner.config.dispatch_routing {
-                    DispatchRouting::KeyAffinity => (key_hash % buckets.len() as u64) as usize,
-                    DispatchRouting::RoundRobin => {
-                        let idx = *rr_next % buckets.len();
-                        *rr_next = rr_next.wrapping_add(1);
-                        idx
-                    }
-                };
+                let idx = (key_hash % buckets.len() as u64) as usize;
                 buckets[idx].push(DispatchWork {
                     via_module: via_module.map(str::to_owned),
                     body: giop_bytes,
@@ -1768,32 +1741,47 @@ mod tests {
         let net = Network::new(1);
         // Two dispatchers so the follow-up call is served *while* the
         // slow one is still sleeping — the stale reply then lands after
-        // the caller's slot has been re-armed for a newer request.
-        // RoundRobin routing: both calls target the same key, and the
-        // default KeyAffinity would (correctly) serialize them on one
-        // dispatcher, which is exactly what this test must avoid.
+        // the caller's slot has been re-armed for a newer request. Key
+        // affinity would (correctly) serialize two calls on one key, so
+        // the calls target two objects whose keys hash to different
+        // dispatchers.
         let server = Orb::start_with(
             &net,
             "server",
-            OrbConfig {
-                dispatch_threads: 2,
-                dispatch_routing: DispatchRouting::RoundRobin,
-                ..OrbConfig::default()
-            },
+            OrbConfig { dispatch_threads: 2, ..OrbConfig::default() },
         );
         let client = Orb::start_with(
             &net,
             "client",
             OrbConfig { request_timeout: Duration::from_millis(50), ..OrbConfig::default() },
         );
-        let ior = server.activate("slug", Box::new(Sluggish));
+        let slow_ior = server.activate("slug0", Box::new(Sluggish));
+        let fast_ior = server.activate("slug1", Box::new(Sluggish));
+        let shard = |ior: &Ior| {
+            let request = RequestMessage {
+                request_id: 0,
+                reply_to: NodeId(0),
+                object_key: ior.key.clone(),
+                operation: String::new(),
+                args: Vec::new(),
+                response_expected: true,
+                kind: RequestKind::ServiceRequest,
+                qos: None,
+                contexts: Vec::new(),
+            };
+            match giop::peek(&GiopMessage::Request(request).to_bytes()) {
+                Ok(GiopPeek::Request { key_hash }) => key_hash % 2,
+                other => panic!("request peeked as {other:?}"),
+            }
+        };
+        assert_ne!(shard(&slow_ior), shard(&fast_ior), "keys must land on different dispatchers");
         // Times out while the servant is still sleeping…
-        let err = client.invoke(&ior, "slow", &[]).unwrap_err();
+        let err = client.invoke(&slow_ior, "slow", &[]).unwrap_err();
         assert!(matches!(err, OrbError::Timeout(_)));
         // …and the very next call reuses the same thread's reply slot.
         // If the armed-id guard or the shard unregister were broken, the
         // late Long(9) reply could leak into this call's rendezvous.
-        let r = client.invoke(&ior, "fast", &[]).unwrap();
+        let r = client.invoke(&fast_ior, "fast", &[]).unwrap();
         assert_eq!(r, Any::Long(1));
         // Wait for the stale reply to land, then check the invariant:
         // every reply received is either matched or orphaned.

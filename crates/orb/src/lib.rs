@@ -95,17 +95,6 @@ pub mod sync;
 pub mod trace;
 pub mod wire;
 
-/// Deprecated alias of [`qos_binding`].
-///
-/// Historically this module was called `transport`, but it is the QoS
-/// module registry/binding table of §4, not a transport: the layer that
-/// actually moves bytes is [`wire`]. The alias keeps old paths
-/// compiling; new code should say what it means.
-#[deprecated(since = "0.7.0", note = "renamed to `orb::qos_binding`; the wire layer is `orb::wire`")]
-pub mod transport {
-    pub use crate::qos_binding::*;
-}
-
 /// Convenient re-exports of the types used by almost every ORB client.
 pub mod prelude {
     pub use crate::adapter::Servant;
@@ -117,7 +106,7 @@ pub mod prelude {
 
 pub use crate::adapter::{ObjectAdapter, Servant};
 pub use crate::any::{Any, TypeCode};
-pub use crate::core::{DispatchRouting, Orb, OrbConfig, PendingCall};
+pub use crate::core::{Orb, OrbConfig, PendingCall};
 pub use crate::error::OrbError;
 pub use crate::flight::{FlightDump, FlightEvent, FlightEventKind, FlightRecorder};
 pub use crate::ior::{Ior, ObjectKey};

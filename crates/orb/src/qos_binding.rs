@@ -106,19 +106,6 @@ struct QosBindingState {
     bindings: HashMap<BindingKey, String>,
 }
 
-/// Memoized results of [`QosTransport::bound_module`], including
-/// negative ones (plain-path traffic probes the table on every send).
-/// The nested map keys by peer then object-key string so lookups borrow
-/// — no `ObjectKey` clone on the hot path.
-#[derive(Default)]
-struct ResolveCache {
-    /// Value of [`QosTransport::epoch`] the entries were computed at;
-    /// a mismatch means an admin mutation happened and the cache is
-    /// stale wholesale.
-    epoch: u64,
-    map: HashMap<NodeId, HashMap<String, Option<Arc<dyn QosModule>>>>,
-}
-
 /// Monotonic id generator for [`QosTransport::instance`].
 static NEXT_TRANSPORT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
@@ -129,16 +116,17 @@ static NEXT_TRANSPORT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 const L1_PAIR_CAP: usize = 64;
 
 thread_local! {
-    /// Per-thread L1 over the shared [`ResolveCache`] (the L2). Keyed by
+    /// Per-thread L1 over the binding table: memoized results of
+    /// [`QosTransport::bound_module`], including negative ones
+    /// (plain-path traffic probes the table on every send). Keyed by
     /// `(transport instance, peer)`, then object-key string; each entry
     /// remembers the epoch it was computed at so a stale hit is
     /// impossible — an admin mutation bumps the transport epoch and the
     /// comparison below fails. A hit costs two `HashMap` lookups and an
     /// atomic load: no allocation, no rank-ordered lock. This is what
     /// keeps the QoS-over-plain delta flat when several dispatchers
-    /// probe the binding table concurrently — the L2 `RwLock` read is
-    /// uncontended only in the read-mostly steady state, but its guard
-    /// still costs an atomic RMW per call; the L1 costs none.
+    /// probe the binding table concurrently — an uncontended `RwLock`
+    /// read guard still costs an atomic RMW per call; the L1 costs none.
     #[allow(clippy::type_complexity)]
     static L1_RESOLVE: std::cell::RefCell<
         HashMap<(u64, NodeId), HashMap<String, (u64, Option<Arc<dyn QosModule>>)>>,
@@ -160,10 +148,9 @@ thread_local! {
 pub struct QosTransport {
     state: Arc<OrderedRwLock<QosBindingState>>,
     /// Bumped on every module/binding mutation; readers compare it to
-    /// [`ResolveCache::epoch`] to detect staleness without walking the
-    /// admin tables.
+    /// the epoch their thread-local entry was tagged with to detect
+    /// staleness without walking the admin tables.
     epoch: Arc<AtomicU64>,
-    cache: Arc<OrderedRwLock<ResolveCache>>,
     /// Process-unique id distinguishing this transport's entries in the
     /// thread-local L1 resolve cache. Clones share it (they share the
     /// same state, so cached resolutions are interchangeable).
@@ -197,7 +184,6 @@ impl QosTransport {
                 bindings: HashMap::new(),
             })),
             epoch: Arc::new(AtomicU64::new(0)),
-            cache: Arc::new(OrderedRwLock::new(LockRank::ResolveCache, ResolveCache::default())),
             instance: NEXT_TRANSPORT_INSTANCE.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -322,8 +308,8 @@ impl QosTransport {
     /// `(None, key)` binding. `None` means: use plain GIOP/IIOP.
     ///
     /// Every send probes this, so resolutions (including misses) are
-    /// memoized per `(peer, key)` and invalidated wholesale whenever a
-    /// module or binding changes.
+    /// memoized per thread and `(peer, key)` and invalidated wholesale
+    /// whenever a module or binding changes.
     pub fn bound_module(&self, peer: NodeId, key: &ObjectKey) -> Option<Arc<dyn QosModule>> {
         let epoch = self.epoch.load(Ordering::Acquire);
         // L1: thread-local, epoch-tagged. A hit touches no lock and
@@ -337,35 +323,7 @@ impl QosTransport {
         if let Some(hit) = l1_hit {
             return hit;
         }
-        // L2: shared, rank-ordered. Serves warm-up on threads that have
-        // not resolved this pair yet without re-walking the admin tables.
-        let l2_hit = {
-            let cache = self.cache.read();
-            if cache.epoch == epoch {
-                cache.map.get(&peer).and_then(|m| m.get(key.0.as_str())).cloned()
-            } else {
-                None
-            }
-        };
-        let resolved = match l2_hit {
-            Some(hit) => hit,
-            None => {
-                let resolved = self.resolve(peer, key);
-                // Only memoize if no admin mutation raced with the
-                // resolution; a stale entry written under an old epoch is
-                // never served (the epoch check above fails) and is
-                // cleared on the next miss.
-                if self.epoch.load(Ordering::Acquire) == epoch {
-                    let mut cache = self.cache.write();
-                    if cache.epoch != epoch {
-                        cache.map.clear();
-                        cache.epoch = epoch;
-                    }
-                    cache.map.entry(peer).or_default().insert(key.0.clone(), resolved.clone());
-                }
-                resolved
-            }
-        };
+        let resolved = self.resolve(peer, key);
         // Refill the L1 tagged with the epoch loaded *before* the lookup:
         // if an admin mutation raced in, the entry's tag is already stale
         // and the comparison above will never serve it.
@@ -555,6 +513,40 @@ mod tests {
         t1b.install(Arc::new(XorModule { name: "b".into(), key: 2 }));
         t1b.bind(BindingKey { peer: None, key: key.clone() }, "b").unwrap();
         assert_eq!(t1.bound_module(NodeId(1), &key).unwrap().name(), "b");
+    }
+
+    #[test]
+    fn rebind_on_another_thread_invalidates_every_threads_resolution() {
+        use std::sync::mpsc::channel;
+        let t = QosTransport::new();
+        t.install(Arc::new(XorModule { name: "a".into(), key: 1 }));
+        t.install(Arc::new(XorModule { name: "b".into(), key: 2 }));
+        let key = ObjectKey("o".into());
+        let binding = BindingKey { peer: Some(NodeId(3)), key: key.clone() };
+        t.bind(binding.clone(), "a").unwrap();
+        let bound = &|| t.bound_module(NodeId(3), &key).unwrap().name().to_string();
+        let (resolved_tx, resolved_rx) = channel();
+        let (rebound_tx, rebound_rx) = channel();
+        std::thread::scope(|s| {
+            // Thread A memoizes `a`, parks until B has rebound, then must
+            // see `b` — its cached entry carries the old epoch.
+            let a = s.spawn(move || {
+                assert_eq!(bound(), "a");
+                resolved_tx.send(()).unwrap();
+                rebound_rx.recv().unwrap();
+                bound()
+            });
+            // Thread B rebinds through a clone once A has resolved.
+            let clone = t.clone();
+            s.spawn(move || {
+                resolved_rx.recv().unwrap();
+                clone.bind(binding, "b").unwrap();
+                rebound_tx.send(()).unwrap();
+            });
+            assert_eq!(a.join().unwrap(), "b");
+            // A thread that never resolved before has nothing to go stale.
+            assert_eq!(s.spawn(bound).join().unwrap(), "b");
+        });
     }
 
     #[test]

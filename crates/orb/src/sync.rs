@@ -58,7 +58,6 @@
 //! | 320 | `QosMechStats` | mechanism counters, updated while state is held | `qosmech::*` |
 //! | 330 | `QosMechMetrics` | mechanism metrics-registry hooks | `qosmech::*` |
 //! | 400 | `QosBindingState` | QoS module/binding table | `orb::qos_binding` |
-//! | 410 | `ResolveCache` | binding resolve cache | `orb::qos_binding` |
 //! | 420 | `AdapterServants` | object-adapter servant map | `orb::adapter` |
 //! | 430 | `PseudoObjects` | pseudo-object registry | `orb::pseudo` |
 //! | 436 | `WireFaultState` | fault-injection script/held-frame state | `orb::wire::fault` |
@@ -134,7 +133,6 @@ pub enum LockRank {
     QosMechStats = 320,
     QosMechMetrics = 330,
     QosBindingState = 400,
-    ResolveCache = 410,
     AdapterServants = 420,
     PseudoObjects = 430,
     WireFaultState = 436,
@@ -190,7 +188,6 @@ impl LockRank {
         (320, "QosMechStats", "qosmech"),
         (330, "QosMechMetrics", "qosmech"),
         (400, "QosBindingState", "orb::qos_binding"),
-        (410, "ResolveCache", "orb::qos_binding"),
         (420, "AdapterServants", "orb::adapter"),
         (430, "PseudoObjects", "orb::pseudo"),
         (436, "WireFaultState", "orb::wire::fault"),

@@ -273,14 +273,11 @@ pub struct WireConfig {
     pub backpressure: BackpressurePolicy,
     /// Redial schedule after a failed write: `max_attempts` dial walks
     /// over the peer's endpoint list with capped exponential backoff
-    /// between them (the [`RetryPolicy`] shape, reused as data).
+    /// between them (the [`RetryPolicy`] shape, reused as data). Each
+    /// backoff is randomized to 50–100 % of the scheduled value, from a
+    /// sequence seeded by the node id, so restarting fleets do not
+    /// thunder in lockstep.
     pub redial: RetryPolicy,
-    /// Randomize each redial backoff to 50–100 % of the scheduled value
-    /// so restarting fleets do not thunder in lockstep.
-    pub redial_jitter: bool,
-    /// Seed for the (deterministic) jitter sequence; `0` derives one
-    /// from the node id.
-    pub jitter_seed: u64,
 }
 
 impl Default for WireConfig {
@@ -295,8 +292,6 @@ impl Default for WireConfig {
                 backoff_factor: 2,
                 max_backoff: Duration::from_millis(500),
             },
-            redial_jitter: true,
-            jitter_seed: 0,
         }
     }
 }
@@ -901,13 +896,9 @@ impl SocketTransport {
         config: WireConfig,
     ) -> Result<SocketTransport, WireError> {
         let (inbox_tx, inbox_rx) = unbounded::<WireFrame>();
-        let seed = if config.jitter_seed != 0 {
-            config.jitter_seed
-        } else {
-            // Any nonzero value works; mix the node id so two nodes with
-            // default config do not share a jitter sequence.
-            0x9E37_79B9_7F4A_7C15 ^ u64::from(node.0)
-        };
+        // Any nonzero value works; mix the node id so two nodes do not
+        // share a jitter sequence.
+        let seed = 0x9E37_79B9_7F4A_7C15 ^ u64::from(node.0);
         let inner = Arc::new(SocketInner {
             node,
             local,
@@ -1340,10 +1331,7 @@ impl SocketTransport {
                         );
                         break;
                     }
-                    let mut backoff = policy.backoff(attempt);
-                    if inner.config.redial_jitter {
-                        backoff = inner.jittered(backoff);
-                    }
+                    let backoff = inner.jittered(policy.backoff(attempt));
                     inner.emit(
                         FlightEventKind::WireRedial,
                         conn.peer,

@@ -481,7 +481,7 @@ enum Cmd {
 /// * every item is consumed exactly once — the sum over both drain logs
 ///   is exactly the burst, no duplicate, no loss;
 /// * an item is only ever drained by the dispatcher its key hashes to
-///   (`key % queues`, mirroring `DispatchRouting::KeyAffinity`);
+///   (`key % queues`, mirroring the receive loop's key-affinity routing);
 /// * items sharing a key are drained in production order (the per-key
 ///   FIFO guarantee that makes key affinity a semantic feature);
 /// * a dispatcher that observes the sentinel has already drained every

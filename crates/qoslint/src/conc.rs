@@ -40,7 +40,7 @@ pub struct RankedLockView {
 pub struct LockSiteView {
     /// Module the lock is declared in.
     pub module: String,
-    /// The lock field or static, e.g. `ResolveCache.entries`.
+    /// The lock field or static, e.g. `QosTransport.state`.
     pub lock: String,
     /// The rank it carries, if any; `None` is an unranked plain lock.
     pub rank: Option<String>,

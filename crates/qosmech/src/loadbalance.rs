@@ -116,6 +116,19 @@ impl LoadBalancingMediator {
             }
         })
     }
+
+    /// Account one finished call on server `index`: `sample_us` is its
+    /// response time, `ok` whether it succeeded.
+    fn record(&self, index: usize, sample_us: f64, ok: bool) {
+        let mut servers = self.servers.write();
+        if let Some(slot) = servers.get_mut(index) {
+            slot.routed += 1;
+            // Penalize failures so LeastLoaded steers away from them.
+            let sample = if ok { sample_us } else { sample_us * 10.0 };
+            slot.ewma_us =
+                if slot.ewma_us == 0.0 { sample } else { 0.8 * slot.ewma_us + 0.2 * sample };
+        }
+    }
 }
 
 impl Mediator for LoadBalancingMediator {
@@ -128,17 +141,7 @@ impl Mediator for LoadBalancingMediator {
         call.target = self.servers.read()[index].ior.clone();
         let start = Instant::now();
         let result = next(call);
-        let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
-        {
-            let mut servers = self.servers.write();
-            if let Some(slot) = servers.get_mut(index) {
-                slot.routed += 1;
-                // Penalize failures so LeastLoaded steers away from them.
-                let sample = if result.is_ok() { elapsed_us } else { elapsed_us * 10.0 };
-                slot.ewma_us =
-                    if slot.ewma_us == 0.0 { sample } else { 0.8 * slot.ewma_us + 0.2 * sample };
-            }
-        }
+        self.record(index, start.elapsed().as_secs_f64() * 1e6, result.is_ok());
         result
     }
 
@@ -313,13 +316,29 @@ mod tests {
         assert!(slow <= 5, "slow server got {slow} of 30: {routed:?}");
     }
 
+    /// Drive the selection policy with fixed response-time samples (µs
+    /// per server) instead of timed calls, so the outcome does not
+    /// depend on how the host schedules the test.
+    fn route(calls: usize, sample_us: &[f64]) -> Vec<u64> {
+        let iors =
+            (0..sample_us.len()).map(|i| Ior::new("IDL:Sleeper:1.0", NodeId(i as u32), "w"));
+        let m = LoadBalancingMediator::new(iors.collect(), Strategy::LeastLoaded, 99);
+        for _ in 0..calls {
+            let index = m.pick().unwrap();
+            m.record(index, sample_us[index], true);
+        }
+        m.routed()
+    }
+
     #[test]
     fn least_loaded_spreads_over_uniform_servers() {
-        let (routed, _) = run(Strategy::LeastLoaded, 60, &[1, 1, 1, 1]);
+        let routed = route(60, &[1000.0; 4]);
         assert_eq!(routed.iter().sum::<u64>(), 60);
-        // Scheduling jitter may briefly exclude a server from the
-        // near-best band, so require participation, not perfect shares.
         assert!(routed.iter().all(|&n| n >= 3), "uniform servers must share: {routed:?}");
+        // One server at 30x is starved down to the exploration picks.
+        let routed = route(60, &[1000.0, 1000.0, 30_000.0, 1000.0]);
+        assert_eq!(routed.iter().sum::<u64>(), 60);
+        assert!(routed[2] <= 5, "slow server got {} of 60: {routed:?}", routed[2]);
     }
 
     #[test]
