@@ -25,6 +25,19 @@ for root in crates/*/src/lib.rs; do
 done
 echo "    $(ls -d crates/*/src/lib.rs | wc -l | tr -d ' ') crate roots checked"
 
+echo "==> one agreement translation (parameter names and Any coercion live in weaver::objective)"
+# What deadline_ms / availability / validity_ms mean is one table
+# (DESIGN.md 6c-0). A match arm or comparison on those names, or the
+# Any -> f64 coercion idiom, anywhere else in product source is a second
+# copy of the policy. Code that *constructs* parameters does not match.
+PARAM='"(deadline_ms|validity_ms|availability)"'
+if grep -rnE --include='*.rs' \
+    -e "$PARAM[[:space:]]*(=>|\|)" -e "==[[:space:]]*$PARAM" -e 'as_double\(\)\.or_else\(' \
+    crates/*/src | grep -v '^crates/weaver/src/objective\.rs:'; then
+    echo "    agreement parameters are interpreted outside crates/weaver/src/objective.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

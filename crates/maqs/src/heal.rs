@@ -34,15 +34,13 @@ use parking_lot::{Mutex, RwLock};
 use services::adaptation::{
     relax_params, AdaptationEvent, AdaptationLog, DegradationLadder, LadderStep, StepOutcome,
 };
-use services::monitoring::{Bound, Monitor, Statistic, ViolationEvent};
+use services::monitoring::{Monitor, ViolationEvent};
 use services::{Agreement, Negotiator, Offer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
-use weaver::resilience::{
-    deadline_from_params, BreakerConfig, FailStaticMode, ResilienceMediator, ResiliencePolicy,
-};
+use weaver::resilience::{BreakerConfig, FailStaticMode, ResilienceMediator, ResiliencePolicy};
 use weaver::{ClientStub, Mediator};
 
 /// Everything [`MaqsNode::enable_self_healing`](crate::MaqsNode::enable_self_healing)
@@ -130,9 +128,6 @@ pub struct AdaptationEngine {
     guards: RwLock<HashMap<String, Arc<Guard>>>,
 }
 
-/// The metrics a guarded agreement watches on the client monitor.
-const GUARDED_METRICS: &[&str] = &["latency_us", "availability", "staleness_us"];
-
 impl AdaptationEngine {
     /// Build the engine and subscribe it to `monitor`'s violations.
     pub(crate) fn install(
@@ -161,11 +156,11 @@ impl AdaptationEngine {
     /// Put the binding behind `stub` under self-healing guard.
     ///
     /// Installs a [`ResilienceMediator`] (deadline from the agreement's
-    /// `deadline_ms`, retry/breaker from the engine policy) as the
-    /// outermost chain link, points its observer at the client monitor,
-    /// derives monitor rules from the agreement's parameters, and
-    /// attaches the agreement's wire context to the stub. From then on
-    /// every violation of those rules walks the degradation ladder.
+    /// terms, retry/breaker from the engine policy) as the outermost
+    /// chain link, points its observer at the client monitor, installs
+    /// the monitor rules the agreement's parameters state, and attaches
+    /// the agreement's wire context to the stub. From then on every
+    /// violation of those rules walks the degradation ladder.
     ///
     /// Returns the installed mediator for introspection (circuit state,
     /// fail-static flag).
@@ -177,31 +172,31 @@ impl AdaptationEngine {
     ) -> Arc<ResilienceMediator> {
         let object = agreement.object.clone();
         let mediator = Arc::new(
-            ResilienceMediator::new(self.resilience_policy(&agreement.params))
-                .with_metrics(stub.orb().metrics().clone())
-                .with_flight(stub.orb().flight().clone()),
+            ResilienceMediator::new(ResiliencePolicy {
+                deadline: None,
+                retry: self.policy.retry.clone(),
+                breaker: self.policy.breaker.clone(),
+            })
+            .with_metrics(stub.orb().metrics().clone())
+            .with_flight(stub.orb().flight().clone()),
         );
         let monitor = Arc::clone(&self.monitor);
         let observed = object.clone();
         mediator.set_observer(Some(Arc::new(move |_op: &str, us: u64, ok: bool| {
-            monitor.record(&observed, "latency_us", us as f64);
-            monitor.record(&observed, "availability", if ok { 1.0 } else { 0.0 });
+            monitor.record_call(&observed, us, ok);
         })));
         stub.push_mediator_front(Arc::clone(&mediator) as Arc<dyn Mediator>);
-        stub.set_qos_context(Some(agreement.to_context()));
-        self.install_rules(&object, &agreement.params);
-        self.guards.write().insert(
-            object.clone(),
-            Arc::new(Guard {
-                object,
-                server,
-                stub: stub.clone(),
-                mediator: Arc::clone(&mediator),
-                agreement: Mutex::new(agreement.clone()),
-                cursor: AtomicUsize::new(0),
-                healing: AtomicBool::new(false),
-            }),
-        );
+        let guard = Arc::new(Guard {
+            object: object.clone(),
+            server,
+            stub: stub.clone(),
+            mediator: Arc::clone(&mediator),
+            agreement: Mutex::new(agreement.clone()),
+            cursor: AtomicUsize::new(0),
+            healing: AtomicBool::new(false),
+        });
+        self.adopt_agreement(&guard, agreement);
+        self.guards.write().insert(object, guard);
         mediator
     }
 
@@ -228,57 +223,19 @@ impl AdaptationEngine {
         keys
     }
 
-    fn resilience_policy(&self, params: &[(String, orb::Any)]) -> ResiliencePolicy {
-        ResiliencePolicy {
-            deadline: deadline_from_params(params),
-            retry: self.policy.retry.clone(),
-            breaker: self.policy.breaker.clone(),
-        }
-    }
-
-    /// Derive client-side monitor rules from agreement parameters — the
-    /// same translation the server's negotiation servant applies, but
-    /// fed by the *client's* measurements (which include the network).
-    fn install_rules(&self, object: &str, params: &[(String, orb::Any)]) {
-        for metric in GUARDED_METRICS {
-            self.monitor.clear_rules(object, metric);
-        }
-        for (name, value) in params {
-            let number = value.as_double().or_else(|| value.as_i64().map(|v| v as f64));
-            let Some(number) = number else { continue };
-            match name.as_str() {
-                "deadline_ms" => self.monitor.add_rule(
-                    object,
-                    "latency_us",
-                    Statistic::Last,
-                    Bound::Max,
-                    number * 1_000.0,
-                ),
-                "availability" => self.monitor.add_rule(
-                    object,
-                    "availability",
-                    Statistic::Mean,
-                    Bound::Min,
-                    number,
-                ),
-                "validity_ms" => self.monitor.add_rule(
-                    object,
-                    "staleness_us",
-                    Statistic::Last,
-                    Bound::Max,
-                    number * 1_000.0,
-                ),
-                _ => {}
-            }
-        }
-    }
-
-    /// Forget everything measured about `object` so far. Called after a
-    /// successful repair: pre-heal samples describe the broken binding.
-    fn reset_windows(&self, object: &str) {
-        for metric in GUARDED_METRICS {
-            self.monitor.clear_window(object, metric);
-        }
+    /// Put a (re)negotiated agreement in force on `guard`: its deadline
+    /// on the mediator, its wire context on the stub, and its bounds on
+    /// the client monitor — the same [`Monitor::install`] the server's
+    /// negotiation servant applies, fed by the *client's* measurements
+    /// (which include the network).
+    fn adopt_agreement(&self, guard: &Guard, agreement: &Agreement) {
+        *guard.agreement.lock() = agreement.clone();
+        guard.mediator.set_policy(ResiliencePolicy {
+            deadline: ResiliencePolicy::from_params(&agreement.params).deadline,
+            ..guard.mediator.policy()
+        });
+        guard.stub.set_qos_context(Some(agreement.to_context()));
+        self.monitor.install(&guard.object, &agreement.params);
     }
 
     fn on_violation(&self, event: &ViolationEvent) {
@@ -332,7 +289,7 @@ impl AdaptationEngine {
             );
             self.log.push(guard.object.clone(), trigger.clone(), step, detail, outcome);
             if healed {
-                self.reset_windows(&guard.object);
+                self.monitor.clear_call_windows(&guard.object);
                 return;
             }
         }
@@ -390,15 +347,6 @@ impl AdaptationEngine {
                 Ok(format!("fail-static, serving cached: {}", read_ops.join(", ")))
             }
         }
-    }
-
-    /// Switch the guard to a (re)negotiated agreement: new mediator
-    /// policy, new wire context, new monitor rules.
-    fn adopt_agreement(&self, guard: &Guard, updated: &Agreement) {
-        *guard.agreement.lock() = updated.clone();
-        guard.mediator.set_policy(self.resilience_policy(&updated.params));
-        guard.stub.set_qos_context(Some(updated.to_context()));
-        self.install_rules(&guard.object, &updated.params);
     }
 }
 
@@ -524,6 +472,43 @@ mod tests {
         // Relaxed terms hold: further calls raise no new events.
         stub.invoke("get", &[Any::from("k")]).unwrap();
         assert_eq!(engine.events().len(), 1);
+        server.shutdown();
+        client.shutdown();
+    }
+
+    #[test]
+    fn server_and_client_police_one_agreement_identically() {
+        let net = Network::new(1);
+        let server = MaqsNode::builder(&net, "server").spec(SPEC).build().unwrap();
+        let client = fast_client(&net);
+        let ior = serve_kv(&server);
+        let terms = [
+            ("deadline_ms", Any::ULongLong(2)),
+            ("availability", Any::Double(0.9)),
+            ("validity_ms", Any::ULongLong(100)),
+        ];
+        let agreement = negotiate(&client, &server, &terms);
+        // An empty ladder: violations are observed, nothing is repaired.
+        let engine = client.enable_self_healing(SelfHealingPolicy::new(DegradationLadder::new()));
+        engine.guard(&client.stub(&ior), server.orb().node(), &agreement);
+
+        // Samples straddling every bound the agreement states, plus the
+        // staleness series neither side may hold a (never-fed) rule on.
+        let samples = [
+            ("latency_us", 1_999.0),
+            ("latency_us", 2_001.0),
+            ("availability", 1.0),
+            ("availability", 0.0),
+            ("availability", 1.0),
+            ("staleness_us", 1e12),
+        ];
+        let feed = |monitor: &Monitor| -> Vec<ViolationEvent> {
+            samples.iter().flat_map(|(metric, v)| monitor.record("kv", metric, *v)).collect()
+        };
+        let (on_server, on_client) = (feed(server.monitor()), feed(client.monitor()));
+        assert_eq!(on_server, on_client);
+        let seen: Vec<_> = on_server.iter().map(|e| (e.metric.as_str(), e.threshold)).collect();
+        assert_eq!(seen, [("latency_us", 2_000.0), ("availability", 0.9), ("availability", 0.9)]);
         server.shutdown();
         client.shutdown();
     }

@@ -18,27 +18,15 @@ use weaver::{ClientStub, QosImplementation, WovenServant};
 
 /// Whether [`MaqsNode::serve`] refuses deployments the static analysis
 /// can prove broken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintPolicy {
     /// Run the deployment lints (`QL101`–`QL107`) before activating and
     /// refuse (with JSON diagnostics in the error) on lint errors.
     Enforce,
-    /// Activate without gating; lints stay available through
-    /// [`MaqsNode::lint_deployment`].
+    /// Activate without gating (the default); lints stay available
+    /// through [`MaqsNode::lint_deployment`].
+    #[default]
     Skip,
-}
-
-impl Default for LintPolicy {
-    /// [`LintPolicy::Enforce`] when the `lint-deployments` feature is
-    /// on (matching the behaviour the feature used to hard-wire),
-    /// [`LintPolicy::Skip`] otherwise.
-    fn default() -> LintPolicy {
-        if cfg!(feature = "lint-deployments") {
-            LintPolicy::Enforce
-        } else {
-            LintPolicy::Skip
-        }
-    }
 }
 
 /// Options for [`MaqsNode::serve`]: which QIDL interface the servant
@@ -266,7 +254,7 @@ impl MaqsNode {
     /// observing it: every application request through the woven
     /// skeleton feeds `latency_us` and `availability` measurements into
     /// this node's [`Monitor`], so negotiated bounds (deadline,
-    /// availability, validity) are checked against real traffic.
+    /// availability) are checked against real traffic.
     ///
     /// The returned IOR carries the interface's assigned characteristics
     /// as QoS tags.
@@ -327,8 +315,7 @@ impl MaqsNode {
         let errors_series = format!("object.{key}.errors");
         let latency_series = format!("object.{key}.latency_us");
         woven.set_request_observer(Some(Arc::new(move |_op: &str, us: u64, ok: bool| {
-            monitor.record(&object, "latency_us", us as f64);
-            monitor.record(&object, "availability", if ok { 1.0 } else { 0.0 });
+            monitor.record_call(&object, us, ok);
             metrics.incr(&requests_series);
             if !ok {
                 metrics.incr(&errors_series);

@@ -3,7 +3,7 @@
 //! humans, hand-rolled single-object JSON for tools (the workspace
 //! carries no JSON dependency).
 
-use orb::export::{chrome_trace_json, flight_jsonl, prometheus_text, quantile_line};
+use orb::export::quantile_line;
 use orb::{FlightEvent, MetricsSnapshot, TraceContext};
 use services::adaptation::{AdaptationEvent, StepOutcome};
 
@@ -37,25 +37,6 @@ pub fn render_metrics_human(snapshot: &MetricsSnapshot) -> String {
         out.push_str("(no metrics recorded)\n");
     }
     out
-}
-
-/// Render a metrics snapshot in the Prometheus text exposition format
-/// (delegates to [`orb::export::prometheus_text`]).
-pub fn render_metrics_prometheus(snapshot: &MetricsSnapshot) -> String {
-    prometheus_text(snapshot)
-}
-
-/// Render traces plus flight instants as a Chrome `trace_event` JSON
-/// document, loadable in Perfetto / `chrome://tracing` (delegates to
-/// [`orb::export::chrome_trace_json`]).
-pub fn render_chrome_trace(traces: &[TraceContext], flight: &[FlightEvent]) -> String {
-    chrome_trace_json(traces, flight)
-}
-
-/// Render flight events as JSON Lines, one event per line (delegates to
-/// [`orb::export::flight_jsonl`]).
-pub fn render_flight_jsonl(events: &[FlightEvent]) -> String {
-    flight_jsonl(events)
 }
 
 /// Render flight events as an aligned plain-text timeline: sequence,
@@ -246,13 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_wrapper_delegates_to_the_exporter() {
-        let out = render_metrics_prometheus(&sample_snapshot());
-        assert!(out.contains("# TYPE maqs_orb_requests_sent counter"), "{out}");
-        assert!(out.contains("maqs_orb_roundtrip_us_count 2"), "{out}");
-    }
-
-    #[test]
     fn flight_renderers_cover_traced_and_unsampled_events() {
         use orb::{FlightEventKind, FlightRecorder};
         let rec = FlightRecorder::new("n1", 16);
@@ -270,10 +244,6 @@ mod tests {
         assert!(human.contains("circuit_transition"), "{human}");
         assert!(human.contains("closed->open"), "{human}");
         assert_eq!(render_flight_human(&[]), "(no flight events)\n");
-        let jsonl = render_flight_jsonl(&events);
-        assert_eq!(jsonl.lines().count(), 2, "{jsonl}");
-        let chrome = render_chrome_trace(&[], &events);
-        assert!(chrome.contains("\"traceEvents\""), "{chrome}");
     }
 
     #[test]

@@ -61,6 +61,12 @@ impl QosContext {
         QosContext { characteristic: characteristic.into(), params: Vec::new() }
     }
 
+    /// A context carrying `params` in order — the wire form of a
+    /// characteristic plus its agreed parameter values.
+    pub fn with_params(characteristic: impl Into<String>, params: &[(String, Any)]) -> QosContext {
+        QosContext { characteristic: characteristic.into(), params: params.to_vec() }
+    }
+
     /// Builder-style parameter.
     pub fn with_param(mut self, name: impl Into<String>, value: Any) -> QosContext {
         self.params.push((name.into(), value));

@@ -118,5 +118,5 @@ pub use crate::trace::{Span, TraceContext};
 pub use crate::wire::fault::{FaultyTransport, WireFault, WireFaultScript};
 pub use crate::wire::{
     BackpressurePolicy, ConnHealth, Endpoint, NetSimTransport, TcpTransport, UdsTransport,
-    WireConfig, WireError, WireEvent, WireFrame, WireObserver, WireTransport,
+    WireConfig, WireError, WireFrame, WireTransport,
 };

@@ -43,7 +43,6 @@
 //! | 164 | `TelemetryState` | aggregator node/ring/SLO state | `services::telemetry` |
 //! | 168 | `SloHandlers` | SLO alert-handler list | `services::telemetry` |
 //! | 200 | `BindingRegistry` | object-key → QoS binding map | `weaver::binding` |
-//! | 210 | `MediatorFactories` | mediator factory registry | `weaver::registry` |
 //! | 220 | `WovenState` | woven-skeleton server chain | `weaver::skeleton` |
 //! | 230 | `StubState` | woven-stub client chain | `weaver::mediator` |
 //! | 240 | `ResiliencePolicy` | resilience retry/fallback policy | `weaver::resilience` |
@@ -61,7 +60,6 @@
 //! | 420 | `AdapterServants` | object-adapter servant map | `orb::adapter` |
 //! | 430 | `PseudoObjects` | pseudo-object registry | `orb::pseudo` |
 //! | 436 | `WireFaultState` | fault-injection script/held-frame state | `orb::wire::fault` |
-//! | 438 | `WireObservers` | wire lifecycle-observer list | `orb::wire` |
 //! | 440 | `WireState` | wire-transport peer/connection registry | `orb::wire` |
 //! | 442 | `WireOutbox` | one connection's bounded outbox queue | `orb::wire` |
 //! | 444 | `WireConn` | one pooled connection's control stream | `orb::wire` |
@@ -118,7 +116,6 @@ pub enum LockRank {
     TelemetryState = 164,
     SloHandlers = 168,
     BindingRegistry = 200,
-    MediatorFactories = 210,
     WovenState = 220,
     StubState = 230,
     ResiliencePolicy = 240,
@@ -136,7 +133,6 @@ pub enum LockRank {
     AdapterServants = 420,
     PseudoObjects = 430,
     WireFaultState = 436,
-    WireObservers = 438,
     WireState = 440,
     WireOutbox = 442,
     WireConn = 444,
@@ -173,7 +169,6 @@ impl LockRank {
         (164, "TelemetryState", "services::telemetry"),
         (168, "SloHandlers", "services::telemetry"),
         (200, "BindingRegistry", "weaver::binding"),
-        (210, "MediatorFactories", "weaver::registry"),
         (220, "WovenState", "weaver::skeleton"),
         (230, "StubState", "weaver::mediator"),
         (240, "ResiliencePolicy", "weaver::resilience"),
@@ -191,7 +186,6 @@ impl LockRank {
         (420, "AdapterServants", "orb::adapter"),
         (430, "PseudoObjects", "orb::pseudo"),
         (436, "WireFaultState", "orb::wire::fault"),
-        (438, "WireObservers", "orb::wire"),
         (440, "WireState", "orb::wire"),
         (442, "WireOutbox", "orb::wire"),
         (444, "WireConn", "orb::wire"),

@@ -27,7 +27,7 @@
 //! the request arrived on. Dialing walks the list with health-scored
 //! selection: the endpoint with the fewest recent failures wins, list
 //! order breaks ties, and switching endpoints is a *failover* surfaced
-//! through the flight recorder and wire observers.
+//! through the flight recorder.
 //!
 //! # Backpressure and recovery
 //!
@@ -325,24 +325,6 @@ impl fmt::Display for ConnHealth {
     }
 }
 
-/// One wire lifecycle event, delivered to registered observers (the
-/// resilience layer taps these so circuit/ladder decisions see
-/// wire-level causes; see `ResilienceMediator::wire_observer` in the
-/// weaver crate).
-#[derive(Debug, Clone)]
-pub struct WireEvent {
-    /// Which lifecycle step (one of the `Wire*` flight kinds).
-    pub kind: FlightEventKind,
-    /// The peer the event concerns.
-    pub peer: NodeId,
-    /// Human-readable detail (endpoint, error, backoff…).
-    pub detail: String,
-}
-
-/// Callback invoked on every wire lifecycle event. Called with **no
-/// wire locks held**, so observers may take locks of any rank.
-pub type WireObserver = Arc<dyn Fn(&WireEvent) + Send + Sync>;
-
 /// The ORB's pluggable network boundary; see the [module docs](self).
 pub trait WireTransport: Send + Sync {
     /// This transport's node identity.
@@ -415,10 +397,6 @@ pub trait WireTransport: Send + Sync {
     fn peer_health(&self) -> Vec<(NodeId, ConnHealth)> {
         Vec::new()
     }
-
-    /// Register an observer for wire lifecycle events. Backends without
-    /// lifecycle events ignore this.
-    fn add_wire_observer(&self, _obs: WireObserver) {}
 }
 
 // ---------------------------------------------------------------------
@@ -747,25 +725,15 @@ struct SocketInner {
     inbox_rx: Receiver<WireFrame>,
     closed: AtomicBool,
     flight: OnceLock<FlightRecorder>,
-    observers: OrderedMutex<Vec<WireObserver>>,
     jitter: AtomicU64,
     frame_errors: AtomicU64,
 }
 
 impl SocketInner {
-    /// Record a lifecycle event in the attached flight recorder and fan
-    /// it out to observers. Must be called with **no wire locks held**
-    /// (observers may take locks of any rank).
-    fn emit(&self, kind: FlightEventKind, peer: NodeId, detail: String) {
+    /// Record a lifecycle event in the attached flight recorder.
+    fn emit(&self, kind: FlightEventKind, detail: String) {
         if let Some(flight) = self.flight.get() {
-            flight.record_detail(kind, "wire", None, detail.clone());
-        }
-        let observers: Vec<WireObserver> = self.observers.lock().clone();
-        if !observers.is_empty() {
-            let event = WireEvent { kind, peer, detail };
-            for obs in &observers {
-                obs(&event);
-            }
+            flight.record_detail(kind, "wire", None, detail);
         }
     }
 
@@ -911,7 +879,6 @@ impl SocketTransport {
             inbox_rx,
             closed: AtomicBool::new(false),
             flight: OnceLock::new(),
-            observers: OrderedMutex::new(LockRank::WireObservers, Vec::new()),
             jitter: AtomicU64::new(seed),
             frame_errors: AtomicU64::new(0),
         });
@@ -1007,7 +974,6 @@ impl SocketTransport {
             old.close();
             inner.emit(
                 FlightEventKind::WireConnReset,
-                peer,
                 format!("stale pooled connection to node {} superseded by reconnect", peer.0),
             );
         }
@@ -1072,7 +1038,7 @@ impl SocketTransport {
     ) {
         inner.frame_errors.fetch_add(1, Ordering::Relaxed);
         inner.drop_conn(peer, conn);
-        inner.emit(FlightEventKind::WireConnReset, peer, err.to_string());
+        inner.emit(FlightEventKind::WireConnReset, err.to_string());
     }
 
     /// Dial `endpoint` and send the hello; the caller wires the stream
@@ -1208,11 +1174,10 @@ impl SocketTransport {
                 .name(format!("wire-write-{}", inner.node.0))
                 .spawn(move || SocketTransport::writer_loop(&inner, &conn, stream));
         }
-        self.inner.emit(FlightEventKind::WireDial, dst, format!("dialed node {} at {endpoint}", dst.0));
+        self.inner.emit(FlightEventKind::WireDial, format!("dialed node {} at {endpoint}", dst.0));
         if failover {
             self.inner.emit(
                 FlightEventKind::WireFailover,
-                dst,
                 format!("failed over node {} to {endpoint}", dst.0),
             );
         }
@@ -1241,7 +1206,6 @@ impl SocketTransport {
                     }
                     inner.emit(
                         FlightEventKind::WireConnReset,
-                        conn.peer,
                         format!("write to node {} failed: {first}; redialing", conn.peer.0),
                     );
                     match SocketTransport::redial(inner, conn) {
@@ -1271,7 +1235,6 @@ impl SocketTransport {
         inner.drop_conn(conn.peer, conn);
         inner.emit(
             FlightEventKind::WireConnReset,
-            conn.peer,
             format!("connection to node {} abandoned: {why}", conn.peer.0),
         );
     }
@@ -1307,7 +1270,6 @@ impl SocketTransport {
                     SocketTransport::attach_reader(inner, conn, reader);
                     inner.emit(
                         FlightEventKind::WireRedial,
-                        conn.peer,
                         format!(
                             "re-established node {} at {endpoint} (attempt {attempt})",
                             conn.peer.0
@@ -1316,7 +1278,6 @@ impl SocketTransport {
                     if failover {
                         inner.emit(
                             FlightEventKind::WireFailover,
-                            conn.peer,
                             format!("failed over node {} to {endpoint}", conn.peer.0),
                         );
                     }
@@ -1326,7 +1287,6 @@ impl SocketTransport {
                     if attempt == attempts {
                         inner.emit(
                             FlightEventKind::WireRedial,
-                            conn.peer,
                             format!("redial node {} attempt {attempt}/{attempts} failed: {e}", conn.peer.0),
                         );
                         break;
@@ -1334,7 +1294,6 @@ impl SocketTransport {
                     let backoff = inner.jittered(policy.backoff(attempt));
                     inner.emit(
                         FlightEventKind::WireRedial,
-                        conn.peer,
                         format!(
                             "redial node {} attempt {attempt}/{attempts} failed: {e}; backing off {backoff:?}",
                             conn.peer.0
@@ -1398,7 +1357,6 @@ impl WireTransport for SocketTransport {
             conn.close();
             self.inner.emit(
                 FlightEventKind::WireConnReset,
-                node,
                 format!("node {} re-registered with a new endpoint list; pooled connection evicted", node.0),
             );
         }
@@ -1434,7 +1392,7 @@ impl WireTransport for SocketTransport {
                         self.inner.config.outbox_bytes,
                         f.len(),
                     );
-                    self.inner.emit(FlightEventKind::WireBackpressureShed, dst, detail.clone());
+                    self.inner.emit(FlightEventKind::WireBackpressureShed, detail.clone());
                     return Err(WireError::Backpressure(detail));
                 }
             }
@@ -1527,10 +1485,6 @@ impl WireTransport for SocketTransport {
             state.health.iter().map(|(n, h)| (*n, *h)).collect();
         health.sort_by_key(|(n, _)| n.0);
         health
-    }
-
-    fn add_wire_observer(&self, obs: WireObserver) {
-        self.inner.observers.lock().push(obs);
     }
 }
 
@@ -1658,9 +1612,6 @@ macro_rules! delegate_wire {
             }
             fn peer_health(&self) -> Vec<(NodeId, ConnHealth)> {
                 self.core.peer_health()
-            }
-            fn add_wire_observer(&self, obs: WireObserver) {
-                self.core.add_wire_observer(obs)
             }
         }
     };

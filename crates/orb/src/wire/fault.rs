@@ -26,9 +26,7 @@
 //! wire.shutdown();
 //! ```
 
-use super::{
-    ConnHealth, Endpoint, WireError, WireFrame, WireObserver, WireTransport,
-};
+use super::{ConnHealth, Endpoint, WireError, WireFrame, WireTransport};
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::sync::{LockRank, OrderedMutex};
 use netsim::NodeId;
@@ -346,10 +344,6 @@ impl WireTransport for FaultyTransport {
 
     fn peer_health(&self) -> Vec<(NodeId, ConnHealth)> {
         self.inner.peer_health()
-    }
-
-    fn add_wire_observer(&self, obs: WireObserver) {
-        self.inner.add_wire_observer(obs);
     }
 }
 

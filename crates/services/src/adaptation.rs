@@ -28,13 +28,13 @@ use crate::monitoring::ViolationEvent;
 use orb::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use weaver::objective::Objective;
 
 /// One rung of a [`DegradationLadder`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum LadderStep {
-    /// Renegotiate the current agreement with relaxed parameters:
-    /// `deadline_ms` and `validity_ms` are multiplied by `relax_factor`,
-    /// `availability` floors are divided by it.
+    /// Renegotiate the current agreement with its bounds relaxed by
+    /// `relax_factor` (see [`relax_params`]).
     Renegotiate {
         /// Multiplier applied to the agreement's bounds (> 1 relaxes).
         relax_factor: f64,
@@ -141,8 +141,9 @@ impl DegradationLadder {
 }
 
 /// Relax agreement parameters by `factor` (> 1 loosens the terms):
-/// upper bounds (`deadline_ms`, `validity_ms`) grow by the factor,
-/// the `availability` floor shrinks by it. Everything else is kept.
+/// every parameter that states an [`Objective`] moves away from its
+/// bound — upper bounds grow by the factor, lower bounds shrink by it.
+/// Everything else is kept.
 pub fn relax_params(params: &[(String, Any)], factor: f64) -> Vec<(String, Any)> {
     if !factor.is_finite() || factor <= 0.0 {
         return params.to_vec();
@@ -150,12 +151,7 @@ pub fn relax_params(params: &[(String, Any)], factor: f64) -> Vec<(String, Any)>
     params
         .iter()
         .map(|(name, value)| {
-            let number = value.as_double().or_else(|| value.as_i64().map(|v| v as f64));
-            let relaxed = match (name.as_str(), number) {
-                ("deadline_ms" | "validity_ms", Some(n)) => Some(Any::Double(n * factor)),
-                ("availability", Some(n)) => Some(Any::Double(n / factor)),
-                _ => None,
-            };
+            let relaxed = Objective::of(name, value).map(|o| Any::Double(o.relaxed(factor)));
             (name.clone(), relaxed.unwrap_or_else(|| value.clone()))
         })
         .collect()
@@ -276,6 +272,7 @@ impl AdaptationLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use weaver::objective::Direction;
 
     fn violation() -> ViolationEvent {
         ViolationEvent {
@@ -327,6 +324,18 @@ mod tests {
         // Nonsense factors degrade to identity instead of corrupting terms.
         assert_eq!(relax_params(&params, 0.0)[0].1, Any::ULongLong(2));
         assert_eq!(relax_params(&params, f64::NAN)[0].1, Any::ULongLong(2));
+        // Monotone: no factor > 1 tightens any bound or loses one.
+        let agreed = Objective::derive(&params);
+        for factor in [1.0 + f64::EPSILON, 1.5, 1e6] {
+            let relaxed = Objective::derive(&relax_params(&params, factor));
+            assert_eq!(relaxed.len(), agreed.len(), "×{factor} lost an objective");
+            for (before, after) in agreed.iter().zip(&relaxed) {
+                match before.direction {
+                    Direction::Upper => assert!(after.threshold >= before.threshold, "×{factor}"),
+                    Direction::Lower => assert!(after.threshold <= before.threshold, "×{factor}"),
+                }
+            }
+        }
     }
 
     #[test]

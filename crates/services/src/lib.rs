@@ -55,7 +55,7 @@ pub use contract::{ContractHierarchy, ContractNode, Offer};
 pub use introspection::{
     BindingInfo, Health, IntrospectionServant, Introspector, INTROSPECTION_KEY,
 };
-pub use monitoring::{Monitor, Observation, ViolationEvent};
+pub use monitoring::{Monitor, ViolationEvent};
 pub use naming::{bind_name, resolve_name, NamingService, NAMING_KEY};
 pub use negotiation::{Agreement, NegotiationServant, Negotiator, NEGOTIATOR_KEY};
 pub use telemetry::{

@@ -8,16 +8,11 @@
 //! trigger for renegotiation (adaptation).
 
 use orb::sync::{LockRank, OrderedMutex};
+use orb::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-
-/// One measured sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
-    /// The measured value (unit depends on the metric).
-    pub value: f64,
-}
+use weaver::objective::{Direction, Objective, ObjectiveKind};
 
 /// How a bound constrains a window statistic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +73,11 @@ struct Series {
     violations: u64,
 }
 
+/// The two series [`Monitor::record_call`] feeds and
+/// [`Monitor::install`] can put a rule on.
+const LATENCY_US: &str = "latency_us";
+const AVAILABILITY: &str = "availability";
+
 /// A sliding-window QoS monitor.
 pub struct Monitor {
     series: OrderedMutex<HashMap<(String, String), Series>>,
@@ -135,15 +135,55 @@ impl Monitor {
         }
     }
 
-    /// Drop the accumulated samples for `(object, metric)`, keeping the
-    /// rules. Adaptation uses this after healing a binding: samples
-    /// measured before the repair describe a binding that no longer
-    /// exists, and letting them linger would re-trigger the ladder on
-    /// every healthy call.
+    /// Drop the accumulated samples for `(object, metric)`, keeping its
+    /// rules.
     pub fn clear_window(&self, object: &str, metric: &str) {
         if let Some(s) = self.series.lock().get_mut(&(object.to_string(), metric.to_string())) {
             s.window.clear();
         }
+    }
+
+    /// Make the bounds `params` state (see [`weaver::objective`]) the
+    /// only agreed bounds on `object`, dropping those of any earlier
+    /// version of the agreement — all of them when `params` is empty.
+    /// Sample windows are kept. The server's negotiation servant and the
+    /// client's adaptation engine both install through here, so the two
+    /// sides police one agreement identically.
+    pub fn install(&self, object: &str, params: &[(String, Any)]) {
+        self.clear_rules(object, LATENCY_US);
+        self.clear_rules(object, AVAILABILITY);
+        for objective in Objective::derive(params) {
+            let (metric, statistic) = match objective.kind {
+                ObjectiveKind::Deadline => (LATENCY_US, Statistic::Last),
+                ObjectiveKind::Availability => (AVAILABILITY, Statistic::Mean),
+                // Nothing records data staleness into a monitor (the
+                // fleet SLO engine reads it from the metrics registry),
+                // and a rule over an unfed series can never fire.
+                ObjectiveKind::Validity => continue,
+            };
+            let bound = match objective.direction {
+                Direction::Upper => Bound::Max,
+                Direction::Lower => Bound::Min,
+            };
+            self.add_rule(object, metric, statistic, bound, objective.threshold);
+        }
+    }
+
+    /// Record one finished call on `object`: its latency and whether it
+    /// succeeded — every series [`install`](Self::install) can bound.
+    pub fn record_call(&self, object: &str, us: u64, ok: bool) {
+        self.record(object, LATENCY_US, us as f64);
+        self.record(object, AVAILABILITY, if ok { 1.0 } else { 0.0 });
+    }
+
+    /// Forget the per-call samples of `object`, keeping its rules.
+    /// Adaptation calls this after healing a binding: samples measured
+    /// before the repair describe a binding that no longer exists, and
+    /// letting them linger would re-trigger the ladder on every healthy
+    /// call.
+    pub fn clear_call_windows(&self, object: &str) {
+        self.clear_window(object, LATENCY_US);
+        self.clear_window(object, AVAILABILITY);
     }
 
     /// Record a sample and evaluate the rules. Returns the violations
@@ -347,6 +387,26 @@ mod tests {
         assert!(!m.record("o", "availability", 0.0).is_empty());
         // Clearing an unknown series is a no-op.
         m.clear_window("ghost", "x");
+    }
+
+    #[test]
+    fn every_installable_rule_is_fed_by_record_call() {
+        let m = Monitor::new(4);
+        let params = [
+            ("deadline_ms".to_string(), Any::ULongLong(2)),
+            ("availability".to_string(), Any::Double(0.9)),
+            ("validity_ms".to_string(), Any::ULongLong(100)),
+        ];
+        assert_eq!(Objective::derive(&params).len(), 3, "one objective per table row");
+        m.install("o", &params);
+        m.record_call("o", 10, true);
+        // A rule over a series nothing records into could never fire.
+        let series = m.series.lock();
+        let ruled: Vec<_> = series.iter().filter(|(_, s)| !s.rules.is_empty()).collect();
+        assert_eq!(ruled.len(), 2);
+        for ((_, metric), s) in ruled {
+            assert!(!s.window.is_empty(), "rule on `{metric}`, which record_call never feeds");
+        }
     }
 
     #[test]

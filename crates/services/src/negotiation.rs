@@ -14,7 +14,7 @@
 
 use orb::sync::{LockRank, OrderedRwLock};
 use crate::contract::{ContractHierarchy, Offer};
-use crate::monitoring::{Bound, Monitor, Statistic};
+use crate::monitoring::Monitor;
 use orb::giop::QosContext;
 use orb::{Any, FlightEventKind, Orb, OrbError, Servant};
 use netsim::NodeId;
@@ -48,11 +48,8 @@ impl Agreement {
     /// The wire [`QosContext`] clients attach to calls under this
     /// agreement.
     pub fn to_context(&self) -> QosContext {
-        let mut ctx = QosContext::new(self.characteristic.clone());
-        for (n, v) in &self.params {
-            ctx = ctx.with_param(n.clone(), v.clone());
-        }
-        ctx.with_param("_agreement_id", Any::ULongLong(self.id))
+        QosContext::with_params(self.characteristic.clone(), &self.params)
+            .with_param("_agreement_id", Any::ULongLong(self.id))
     }
 
     /// Encode as a self-describing [`Any`] — the wire form returned by
@@ -135,14 +132,6 @@ impl Default for NegotiationServant {
     }
 }
 
-/// The metrics an agreement's parameters can put under observation,
-/// and the parameter that governs each.
-const MONITORED_METRICS: &[(&str, &str)] = &[
-    ("deadline_ms", "latency_us"),
-    ("availability", "availability"),
-    ("validity_ms", "staleness_us"),
-];
-
 impl NegotiationServant {
     /// An empty negotiator.
     pub fn new() -> NegotiationServant {
@@ -187,58 +176,17 @@ impl NegotiationServant {
         out
     }
 
-    /// Attach a [`Monitor`]: from now on every concluded (or
-    /// renegotiated) agreement automatically installs violation rules
-    /// derived from its parameters — `deadline_ms` bounds the last
-    /// observed `latency_us`, `availability` puts a floor under the mean
-    /// `availability`, and `validity_ms` bounds the last `staleness_us`.
-    /// Releasing the agreement removes its rules.
+    /// Attach a [`Monitor`]: from now on every concluded or renegotiated
+    /// agreement [installs](Monitor::install) the bounds its parameters
+    /// state, and releasing it removes them.
     pub fn set_monitor(&self, monitor: Arc<Monitor>) {
         *self.monitor.write() = Some(monitor);
     }
 
-    /// Replace the monitored bounds for `agreement`'s object with those
-    /// its parameters imply.
-    fn install_monitor_rules(&self, agreement: &Agreement) {
-        let Some(monitor) = self.monitor.read().clone() else { return };
-        for (_param, metric) in MONITORED_METRICS {
-            monitor.clear_rules(&agreement.object, metric);
-        }
-        for (name, value) in &agreement.params {
-            let number = value.as_double().or_else(|| value.as_i64().map(|v| v as f64));
-            let Some(number) = number else { continue };
-            match name.as_str() {
-                "deadline_ms" => monitor.add_rule(
-                    &agreement.object,
-                    "latency_us",
-                    Statistic::Last,
-                    Bound::Max,
-                    number * 1_000.0,
-                ),
-                "availability" => monitor.add_rule(
-                    &agreement.object,
-                    "availability",
-                    Statistic::Mean,
-                    Bound::Min,
-                    number,
-                ),
-                "validity_ms" => monitor.add_rule(
-                    &agreement.object,
-                    "staleness_us",
-                    Statistic::Last,
-                    Bound::Max,
-                    number * 1_000.0,
-                ),
-                _ => {}
-            }
-        }
-    }
-
-    fn clear_monitor_rules(&self, object: &str) {
+    /// Make `params` the monitored bounds on `object` (none when empty).
+    fn install_bounds(&self, object: &str, params: &[(String, Any)]) {
         if let Some(monitor) = self.monitor.read().clone() {
-            for (_param, metric) in MONITORED_METRICS {
-                monitor.clear_rules(object, metric);
-            }
+            monitor.install(object, params);
         }
     }
 
@@ -299,7 +247,7 @@ impl NegotiationServant {
             version: 1,
         };
         self.agreements.write().insert(agreement.id, agreement.clone());
-        self.install_monitor_rules(&agreement);
+        self.install_bounds(&agreement.object, &agreement.params);
         Ok(agreement)
     }
 
@@ -313,7 +261,7 @@ impl NegotiationServant {
             agreement.version += 1;
             agreement.clone()
         };
-        self.install_monitor_rules(&updated);
+        self.install_bounds(&updated.object, &updated.params);
         Ok(updated)
     }
 
@@ -332,7 +280,7 @@ impl NegotiationServant {
                 entry.woven.release();
             }
         }
-        self.clear_monitor_rules(&agreement.object);
+        self.install_bounds(&agreement.object, &[]);
         Ok(())
     }
 }
@@ -769,6 +717,11 @@ mod tests {
         assert!(monitor.record("store", "latency_us", 5_000.0).is_empty());
         // ...and the availability rule is gone (not part of the new terms).
         assert!(monitor.record("store", "availability", 0.0).is_empty());
+        // No rule of version 1 lingers beside the new one: a sample past
+        // both deadlines violates exactly once, against the 100 ms bound.
+        let past_both = monitor.record("store", "latency_us", 200_000.0);
+        assert_eq!(past_both.len(), 1, "{past_both:?}");
+        assert_eq!(past_both[0].threshold, 100_000.0);
 
         // Release removes all agreed bounds.
         n.release(server.node(), &a).unwrap();

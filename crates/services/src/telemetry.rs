@@ -18,14 +18,12 @@
 //!   fixed bucket ladder, so [`HistogramSnapshot::merge`] is exact at
 //!   bucket granularity and fleet quantiles are within one bucket
 //!   boundary of a single registry observing every sample;
-//! * an SLO engine that translates each scraped [`Agreement`]'s
-//!   parameters into objectives — `deadline_ms` bounds the object's
-//!   latency distribution, `availability` floors its success ratio,
-//!   `validity_ms` bounds data staleness — each with an error budget
-//!   (`1 - target`) and **multi-window burn-rate** evaluation: an alert
-//!   fires only when the short *and* long windows both burn budget
-//!   faster than [`SloConfig::burn_threshold`], the standard SRE recipe
-//!   for alerts that are fast on real incidents and quiet on blips.
+//! * an SLO engine that turns the [`Objective`]s each scraped
+//!   [`Agreement`] states into [`SloObjective`]s, each with an error
+//!   budget (`1 - target`) and **multi-window burn-rate** evaluation:
+//!   an alert fires only when the short *and* long windows both burn
+//!   budget faster than [`SloConfig::burn_threshold`], the standard SRE
+//!   recipe for alerts that are fast on real incidents and quiet on blips.
 //!
 //! Alerts are typed [`SloAlert`]s naming the violated agreement, node,
 //! object and parameter; they are delivered to registered
@@ -36,9 +34,7 @@
 //! split (PAPERS.md) is the model: *what to alert on* is policy derived
 //! from agreements, not code.
 
-use crate::adaptation::{AdaptationLog, LadderStep, StepOutcome};
 use crate::introspection::{Health, Introspector};
-use crate::monitoring::ViolationEvent;
 use crate::negotiation::Agreement;
 use netsim::NodeId;
 use orb::export::prometheus_text_labeled;
@@ -47,6 +43,7 @@ use orb::{FlightEventKind, HistogramSnapshot, MetricsSnapshot, Orb};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use weaver::objective::{Objective, ObjectiveKind};
 
 /// Default scrape period for [`TelemetryAggregator::start`], ms.
 pub const DEFAULT_SCRAPE_INTERVAL_MS: u64 = 100;
@@ -187,49 +184,40 @@ impl SloObjective {
     }
 }
 
-/// Translate one agreement's parameters into objectives. Numeric
-/// parameters only; unknown parameters derive nothing.
+/// The SLO each [`Objective`] of `agreement` becomes (the fleet column
+/// of the table in [`weaver::objective`]).
 fn objectives_of(node: NodeId, agreement: &Agreement, slo: &SloConfig) -> Vec<SloObjective> {
-    let mut out = Vec::new();
-    for (param, value) in &agreement.params {
-        let Some(n) = value.as_double().or_else(|| value.as_i64().map(|v| v as f64)) else {
-            continue;
-        };
-        let base = |target: f64, kind: SloKind| SloObjective {
-            node,
-            object: agreement.object.clone(),
-            agreement_id: agreement.id,
-            characteristic: agreement.characteristic.clone(),
-            param: param.clone(),
-            target,
-            kind,
-        };
-        match param.as_str() {
-            "deadline_ms" => out.push(base(
-                slo.latency_target,
-                SloKind::Latency {
-                    histogram: format!("object.{}.latency_us", agreement.object),
-                    threshold_us: (n * 1_000.0) as u64,
-                },
-            )),
-            "availability" => out.push(base(
-                n.clamp(0.0, 1.0),
-                SloKind::Availability {
-                    requests: format!("object.{}.requests", agreement.object),
-                    errors: format!("object.{}.errors", agreement.object),
-                },
-            )),
-            "validity_ms" => out.push(base(
-                slo.latency_target,
-                SloKind::Freshness {
-                    histogram: "qos.actuality.staleness_us".to_string(),
-                    threshold_us: (n * 1_000.0) as u64,
-                },
-            )),
-            _ => {}
-        }
-    }
-    out
+    let object = &agreement.object;
+    Objective::derive(&agreement.params)
+        .into_iter()
+        .map(|objective| {
+            let threshold_us = objective.threshold as u64;
+            let (target, kind) = match objective.kind {
+                ObjectiveKind::Deadline => {
+                    let histogram = format!("object.{object}.latency_us");
+                    (slo.latency_target, SloKind::Latency { histogram, threshold_us })
+                }
+                ObjectiveKind::Availability => {
+                    let requests = format!("object.{object}.requests");
+                    let errors = format!("object.{object}.errors");
+                    (objective.threshold, SloKind::Availability { requests, errors })
+                }
+                ObjectiveKind::Validity => {
+                    let histogram = "qos.actuality.staleness_us".to_string();
+                    (slo.latency_target, SloKind::Freshness { histogram, threshold_us })
+                }
+            };
+            SloObjective {
+                node,
+                object: object.clone(),
+                agreement_id: agreement.id,
+                characteristic: agreement.characteristic.clone(),
+                param: objective.param.to_string(),
+                target,
+                kind,
+            }
+        })
+        .collect()
 }
 
 /// A fired (or cleared) burn-rate alert. Names everything an operator —
@@ -463,32 +451,6 @@ impl TelemetryAggregator {
     /// Register an alert handler (fire and resolve transitions).
     pub fn on_alert(&self, handler: SloAlertHandler) {
         self.handlers.write().push(handler);
-    }
-
-    /// Feed alerts into an adaptation log: each firing alert is
-    /// recorded as a renegotiation-recommended event triggered by a
-    /// synthesized [`ViolationEvent`] (observed = short-window burn,
-    /// threshold = the configured burn threshold), which is the form
-    /// the self-healing ladder and its reports already consume.
-    pub fn subscribe_adaptation(&self, log: Arc<AdaptationLog>) {
-        let threshold = self.cfg.slo.burn_threshold;
-        self.on_alert(Arc::new(move |alert| {
-            if alert.resolved {
-                return;
-            }
-            log.push(
-                alert.object.clone(),
-                ViolationEvent {
-                    object: alert.object.clone(),
-                    metric: format!("slo.{}", alert.param),
-                    observed: alert.burn_short,
-                    threshold,
-                },
-                &LadderStep::Renegotiate { relax_factor: 1.5 },
-                alert.to_string(),
-                StepOutcome::Failed("slo burn alert delivered; step not yet taken".to_string()),
-            );
-        }));
     }
 
     /// Scrape every watched node once, integrate the results, evaluate

@@ -32,11 +32,7 @@ pub struct QosBinding {
 impl QosBinding {
     /// The wire-level [`QosContext`] equivalent of this binding.
     pub fn to_context(&self) -> QosContext {
-        let mut ctx = QosContext::new(self.characteristic.clone());
-        for (name, value) in &self.params {
-            ctx = ctx.with_param(name.clone(), value.clone());
-        }
-        ctx
+        QosContext::with_params(self.characteristic.clone(), &self.params)
     }
 
     /// Look up an agreed parameter value.

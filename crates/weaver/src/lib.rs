@@ -25,6 +25,10 @@
 //!   relationship is currently bound to, with the paper's granularity
 //!   rule (interfaces only) enforced by construction.
 //!
+//! * **Objectives** — [`objective::Objective`] is the one translation
+//!   from an agreement's named parameter values to the typed bounds
+//!   every enforcing layer reads.
+//!
 //! * **Observability** — every stub invocation returns a typed
 //!   [`Reply`] carrying the propagated trace context (one span per
 //!   layer crossed) and the active QoS tag; the woven skeleton records
@@ -79,7 +83,7 @@
 
 pub mod binding;
 pub mod mediator;
-pub mod registry;
+pub mod objective;
 pub mod reply;
 pub mod resilience;
 pub mod skeleton;
@@ -87,7 +91,6 @@ pub mod skeleton;
 pub use binding::{QosBinding, QosBindingRegistry};
 pub use mediator::{annotate_span, Call, ClientStub, Mediator, Next};
 pub use orb::PendingCall;
-pub use registry::{MediatorFactory, MediatorRegistry};
 pub use reply::Reply;
 pub use resilience::{
     BreakerConfig, CircuitBreaker, CircuitState, FailStaticMode, ResilienceMediator,

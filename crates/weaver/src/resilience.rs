@@ -22,11 +22,11 @@
 
 use orb::sync::{LockRank, OrderedMutex, OrderedRwLock};
 use crate::mediator::{annotate_span, Call, Mediator, Next};
+use crate::objective::Objective;
 use crate::skeleton::RequestObserver;
 use orb::retry::RetryPolicy;
-use orb::{Any, FlightEventKind, FlightRecorder, Ior, MetricsRegistry, OrbError, WireEvent};
+use orb::{Any, FlightEventKind, FlightRecorder, Ior, MetricsRegistry, OrbError};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The three circuit-breaker states.
@@ -253,29 +253,12 @@ impl Default for ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// Derive the per-call deadline from negotiated agreement parameters:
-    /// `deadline_ms`, if present and numeric, becomes the budget.
+    /// Default retry and breaker, with the per-call deadline the
+    /// agreement's parameters state (see [`crate::objective`]).
     pub fn from_params(params: &[(String, Any)]) -> ResiliencePolicy {
-        ResiliencePolicy { deadline: deadline_from_params(params), ..Default::default() }
+        let deadline = Objective::derive(params).iter().find_map(Objective::deadline);
+        ResiliencePolicy { deadline, ..Default::default() }
     }
-
-    /// This policy with the deadline replaced from `params` (used after a
-    /// renegotiation relaxed `deadline_ms`).
-    pub fn with_deadline_from(mut self, params: &[(String, Any)]) -> ResiliencePolicy {
-        self.deadline = deadline_from_params(params);
-        self
-    }
-}
-
-/// The `deadline_ms` parameter as a [`Duration`], if present.
-pub fn deadline_from_params(params: &[(String, Any)]) -> Option<Duration> {
-    params.iter().find(|(name, _)| name == "deadline_ms").and_then(|(_, value)| {
-        value
-            .as_double()
-            .or_else(|| value.as_i64().map(|v| v as f64))
-            .filter(|ms| ms.is_finite() && *ms > 0.0)
-            .map(|ms| Duration::from_secs_f64(ms / 1_000.0))
-    })
 }
 
 /// Which operations fail-static mode may answer from cache.
@@ -420,28 +403,6 @@ impl ResilienceMediator {
     /// Whether fail-static mode is active.
     pub fn is_fail_static(&self) -> bool {
         self.fail_static.read().is_some()
-    }
-
-    /// Note a wire lifecycle event (dial, redial, failover,
-    /// backpressure-shed, conn-reset) delivered by a transport this
-    /// mediator's binding rides on. Counted into the
-    /// `resilience.wire.*` metric family so circuit/ladder decisions —
-    /// and anyone reading a metrics snapshot — see *wire-level causes*
-    /// next to request-level symptoms. The transport records the event
-    /// in the flight ring itself; this only attributes it.
-    pub fn note_wire_event(&self, event: &WireEvent) {
-        self.incr(&format!("resilience.wire.{}", event.kind.name()));
-    }
-
-    /// An [`orb::WireObserver`] forwarding wire lifecycle events into
-    /// this mediator, for [`orb::WireTransport::add_wire_observer`]:
-    ///
-    /// ```ignore
-    /// orb.wire().add_wire_observer(mediator.wire_observer());
-    /// ```
-    pub fn wire_observer(self: &Arc<Self>) -> orb::WireObserver {
-        let mediator = Arc::clone(self);
-        Arc::new(move |event: &WireEvent| mediator.note_wire_event(event))
     }
 
     fn incr(&self, name: &str) {
@@ -713,20 +674,6 @@ mod tests {
         b.on_failure();
         b.on_success();
         assert!(b.on_failure().is_none(), "streak restarted after success");
-    }
-
-    #[test]
-    fn deadline_from_params_parses_numbers_only() {
-        let params = vec![
-            ("deadline_ms".to_string(), Any::ULongLong(250)),
-            ("other".to_string(), Any::Str("x".into())),
-        ];
-        assert_eq!(deadline_from_params(&params), Some(Duration::from_millis(250)));
-        let dbl = vec![("deadline_ms".to_string(), Any::Double(1.5))];
-        assert_eq!(deadline_from_params(&dbl), Some(Duration::from_micros(1500)));
-        let bad = vec![("deadline_ms".to_string(), Any::Str("soon".into()))];
-        assert_eq!(deadline_from_params(&bad), None);
-        assert_eq!(deadline_from_params(&[]), None);
     }
 
     struct Flaky {

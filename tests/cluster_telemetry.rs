@@ -58,6 +58,8 @@ const CALLS_PER_ROUND: i64 = 4;
 struct ScenarioOutcome {
     /// Alert transitions in firing order, with virtual timestamps.
     alerts: Vec<SloAlert>,
+    /// What a registered `on_alert` handler was pushed over the run.
+    pushed: Vec<SloAlert>,
     /// `(worker index, agreement id, node id)` per worker.
     agreements: Vec<(usize, u64, NodeId)>,
     /// Fleet-merged per-object latency count after the last scrape.
@@ -114,6 +116,9 @@ fn run_scenario(seed: u64) -> ScenarioOutcome {
     .with_clock(Arc::new(move || clock_net.fault_now().0 / 1_000));
     let fleet: Vec<NodeId> = workers.iter().map(|(n, _)| n.orb().node()).collect();
     agg.watch_all(&fleet);
+    let pushed = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&pushed);
+    agg.on_alert(Arc::new(move |alert: &SloAlert| sink.lock().push(alert.clone())));
 
     let mut alerts = Vec::new();
     for _round in 0..ROUNDS {
@@ -133,7 +138,8 @@ fn run_scenario(seed: u64) -> ScenarioOutcome {
         node.shutdown();
     }
     ops.shutdown();
-    ScenarioOutcome { alerts, agreements, fleet_latency_count }
+    let pushed = pushed.lock().clone();
+    ScenarioOutcome { alerts, pushed, agreements, fleet_latency_count }
 }
 
 #[test]
@@ -143,6 +149,9 @@ fn burn_rate_alert_singles_out_the_violating_node() {
 
     let firing: Vec<&SloAlert> = outcome.alerts.iter().filter(|a| !a.resolved).collect();
     assert!(!firing.is_empty(), "the violated deadline never produced an alert");
+    // The push channel (all the background driver has) carries exactly
+    // the transitions `scrape_once` returns.
+    assert_eq!(outcome.pushed, outcome.alerts);
     for alert in &firing {
         assert_eq!(alert.node, victim_node, "alert on a healthy node: {alert}");
         assert_eq!(alert.agreement_id, victim_agreement, "alert names wrong agreement: {alert}");

@@ -1,7 +1,7 @@
 //! Capstone integration: the complete MAQS story in one test file.
 //!
 //! Name resolution → trading discovery → preference-driven negotiation →
-//! mediator installation via the registry → woven QoS traffic →
+//! mediator set as the stub's delegate → woven QoS traffic →
 //! monitoring → accounting → violation-driven renegotiation → release.
 //! Every §2.2 infrastructure service participates.
 
@@ -15,7 +15,6 @@ use services::trading::query_trader;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use weaver::MediatorRegistry;
 
 const SPEC: &str = r#"
     interface Quotes with qos Actuality {
@@ -90,24 +89,22 @@ fn full_qos_lifecycle() {
     let agreement = agreements.into_iter().next().unwrap();
     assert_eq!(agreement.characteristic, "Actuality");
 
-    // --- install the mediator through the registry ----------------------
-    let registry = MediatorRegistry::new();
-    registry.register(
-        "Actuality",
-        Arc::new(|params: &[(String, Any)]| {
-            let validity_ms = params
-                .iter()
-                .find(|(n, _)| n == "validity_ms")
-                .and_then(|(_, v)| v.as_i64())
-                .unwrap_or(1000) as u64;
-            Ok(Arc::new(ActualityMediator::new(
-                Duration::from_millis(validity_ms),
-                vec!["price".to_string()],
-            )) as Arc<dyn Mediator>)
-        }),
-    );
+    // --- set the mediator as the stub's delegate (§3.3) ------------------
+    let install = |stub: &ClientStub, agreement: &Agreement| {
+        let validity_ms = agreement
+            .params
+            .iter()
+            .find(|(n, _)| n == "validity_ms")
+            .and_then(|(_, v)| v.as_i64())
+            .unwrap_or(1000) as u64;
+        stub.set_mediator(Arc::new(ActualityMediator::new(
+            Duration::from_millis(validity_ms),
+            vec!["price".to_string()],
+        )));
+        stub.set_qos_context(Some(agreement.to_context()));
+    };
     let stub = client.stub(&ior);
-    let mediator = registry.install(&stub, &agreement.characteristic, &agreement.params).unwrap();
+    install(&stub, &agreement);
     assert_eq!(stub.mediator_chain(), vec!["Actuality"]);
 
     // --- woven traffic with monitoring and accounting -------------------
@@ -144,8 +141,7 @@ fn full_qos_lifecycle() {
         .unwrap();
     assert_eq!(tightened.version, 2);
     // Reinstall the mediator from the renegotiated parameters.
-    registry.install(&stub, &tightened.characteristic, &tightened.params).unwrap();
-    let _ = mediator; // old mediator replaced
+    install(&stub, &tightened);
     // With 1 ms validity and a write in between, reads hit the server.
     stub.invoke("set_price", &[Any::from("ACME"), Any::Double(42.0)]).unwrap();
     std::thread::sleep(Duration::from_millis(5));
