@@ -38,6 +38,30 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+echo "==> orb hot path stays reviewable (one issue path, one wiring path, no file over 600 lines)"
+# orb::core and orb::wire are split along the Fig. 1 seams (DESIGN.md
+# 6d / 6g layer tables). A second place that builds a request or wires
+# a stream to its threads is a second copy of a decision the split made
+# single; a file growing past 600 lines is the old monolith coming back.
+HOT="crates/orb/src/core crates/orb/src/wire"
+if wc -l $(find $HOT -name '*.rs') | awk '$2 != "total" && $1 > 600 { print "    " $2 ": " $1 " lines"; bad = 1 } END { exit !bad }'; then
+    echo "    a file under $HOT exceeds 600 lines" >&2
+    exit 1
+fi
+count() { grep -rF --include='*.rs' --exclude=tests.rs -- "$1" "$2" | wc -l | tr -d ' '; }
+for limit in 'RequestMessage {' 'args.to_vec()'; do
+    if [ "$(count "$limit" crates/orb/src/core)" -gt 1 ]; then
+        echo "    more than one \`$limit\` in non-test crates/orb/src/core: requests are built in issue() only" >&2
+        exit 1
+    fi
+done
+for role in read write; do
+    if [ "$(count "\"wire-$role-" crates/orb/src/wire)" -gt 1 ]; then
+        echo "    more than one wire-$role-* spawn site: streams are wired in conn::attach only" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

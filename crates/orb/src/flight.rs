@@ -15,7 +15,6 @@
 //! [`FlightRecorder::dump`], freezing the current ring contents into a
 //! retained [`FlightDump`] so the evidence survives further traffic.
 
-use crate::clock;
 use crate::sync::{LockRank, OrderedMutex};
 use crate::any::Any;
 use crate::error::OrbError;
@@ -24,6 +23,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 /// Default ring capacity ([`crate::core::OrbConfig::flight_capacity`]).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
@@ -232,11 +232,8 @@ struct Slot {
 struct Inner {
     id: u64,
     node: Arc<str>,
-    /// Coarse-clock reading at recorder creation; event `ts_us` values
-    /// are coarse readings relative to this, so timestamping costs one
-    /// atomic load instead of a `clock_gettime` per event. Sub-tick
-    /// ordering is carried by `seq`, not `ts_us`.
-    epoch_us: u64,
+    /// Recorder creation; event `ts_us` values are microseconds since.
+    epoch: Instant,
     capacity: usize,
     seq: AtomicU64,
     counts: [AtomicU64; KIND_COUNT],
@@ -296,7 +293,7 @@ impl FlightRecorder {
             inner: Arc::new(Inner {
                 id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
                 node: node.into(),
-                epoch_us: clock::coarse_refresh_us(),
+                epoch: Instant::now(),
                 capacity,
                 seq: AtomicU64::new(0),
                 counts: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -347,7 +344,7 @@ impl FlightRecorder {
         self.inner.counts[kind.index()].fetch_add(1, Ordering::Relaxed);
         let event = FlightEvent {
             seq: 0, // assigned when the batch lands in the ring
-            ts_us: clock::coarse_now_us().saturating_sub(self.inner.epoch_us),
+            ts_us: self.inner.epoch.elapsed().as_micros() as u64,
             kind,
             trace_id,
             node: Arc::clone(&self.inner.node),
@@ -452,7 +449,7 @@ impl FlightRecorder {
         let dump = FlightDump {
             reason: reason.to_string(),
             node: Arc::clone(&self.inner.node),
-            at_us: clock::coarse_refresh_us().saturating_sub(self.inner.epoch_us),
+            at_us: self.inner.epoch.elapsed().as_micros() as u64,
             events,
         };
         let mut dumps = self.inner.dumps.lock();

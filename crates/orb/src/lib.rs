@@ -35,8 +35,6 @@
 //! * **Metrics** ([`metrics`]) — counters and latency histograms recorded
 //!   at every layer of the request path, with mergeable/delta snapshots
 //!   for fleet aggregation.
-//! * **Coarse clock** ([`clock`]) — a ticker-amortized monotonic clock
-//!   for timestamping paths too hot for per-call `Instant::now`.
 //! * **Flight recorder** ([`flight`]) — an always-on, bounded ring buffer
 //!   of structured lifecycle events, the middleware's black box.
 //! * **Exporters** ([`export`]) — Prometheus text exposition, Chrome
@@ -79,7 +77,6 @@
 pub mod adapter;
 pub mod any;
 pub mod cdr;
-pub mod clock;
 pub mod core;
 pub mod dii;
 pub mod error;

@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// Shared miniature of core.rs's ReplySlot (used by models 1 and 2).
+// Shared miniature of core/pending.rs's ReplySlot (used by models 1 and 2).
 // ---------------------------------------------------------------------
 
 /// Mirror of `core::SlotState`: the request id the slot currently
@@ -97,8 +97,8 @@ impl Slot {
 
 /// Caller registers a request then times out; the receive loop
 /// concurrently takes the entry and delivers. Mirrors
-/// `Orb::register_pending` / `unregister_pending` and the dispatch
-/// take-then-push in `core.rs`: the receiver removes the entry from the
+/// `PendingTable::register` / `unregister_pending` and the reply
+/// take-then-push in `core/recv.rs`: the receiver removes the entry from the
 /// shard and drops the shard lock *before* delivering into the slot.
 ///
 /// Invariant: the one reply is accounted exactly once — matched or
@@ -162,7 +162,7 @@ fn pending_table_accounts_every_reply_exactly_once() {
 // Model 2: armed ReplySlot — late reply orphaned, never misdelivered.
 // ---------------------------------------------------------------------
 
-/// The exhaustive version of core.rs's `late_reply_is_orphaned_never_
+/// The exhaustive version of core/tests.rs's `late_reply_is_orphaned_never_
 /// misdelivered` test: a caller reuses its per-thread slot for request 2
 /// after abandoning request 1, while the receive loop delivers both
 /// replies late. Under every schedule, whatever the caller pops while

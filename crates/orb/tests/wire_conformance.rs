@@ -13,7 +13,10 @@
 //!   survives its primary endpoint dying mid-load,
 //! * garbage on the stream (oversize/torn length prefixes) kills only
 //!   the offending connection,
-//! * a stalled-reader peer cannot grow the bounded outbox past its caps.
+//! * a stalled-reader peer cannot grow the bounded outbox past its caps,
+//! * **simultaneous open**: first frames racing the dial/accept
+//!   handshake (both sides at once, three clients on one server, or
+//!   three threads of one client) are delivered exactly once.
 //!
 //! Every property runs against the netsim wrapper and both socket
 //! backends (TCP, Unix-domain), so a new backend can be dropped into
@@ -29,7 +32,7 @@ use orb::wire::{
 use orb::{Any, FlightEventKind, Orb, OrbConfig, OrbError, Servant};
 use std::io::Write;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// The seed the chaos cases script their faults from (`MAQS_CHAOS_SEED`,
@@ -697,7 +700,6 @@ fn fault_stalled_reader_holds_outbox_memory_flat() {
         outbox_frames: 4,
         outbox_bytes: 256 * 1024,
         backpressure: BackpressurePolicy::Block { deadline: Duration::from_millis(200) },
-        ..WireConfig::default()
     };
     let a = Arc::new(TcpTransport::bind_with(NodeId(1), "127.0.0.1:0", config).unwrap());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -805,4 +807,150 @@ fn fault_wire_lifecycle_events_reach_flight_tail() {
         "no wire lifecycle event in the tail"
     );
     client.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// simultaneous open: first frames race the connection setup
+// ---------------------------------------------------------------------
+
+/// Rounds per simultaneous-open case; every round binds fresh
+/// transports, so each one replays the dial/accept race from scratch.
+const OPEN_ROUNDS: u8 = 100;
+
+/// A fresh socket transport for `node` in simultaneous-open round `round`.
+fn open_transport(tcp: bool, case: &str, round: u8, node: u32) -> Arc<dyn WireTransport> {
+    if tcp {
+        Arc::new(TcpTransport::bind(NodeId(node), "127.0.0.1:0").unwrap())
+    } else {
+        let path = uds_path(&format!("open-{case}-{round}-{node}"));
+        Arc::new(UdsTransport::bind(NodeId(node), &path).unwrap())
+    }
+}
+
+/// Every frame of `want` arrives on `rx` (bounded wait, any order — the
+/// racing frames may ride different connections) and nothing else does.
+fn expect_frames(rx: &mpsc::Receiver<Vec<u8>>, mut want: Vec<Vec<u8>>, what: &str) {
+    while !want.is_empty() {
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what}: frames lost: {want:?}"));
+        let at = want
+            .iter()
+            .position(|w| *w == got)
+            .unwrap_or_else(|| panic!("{what}: duplicate or foreign frame {got:?}"));
+        want.swap_remove(at);
+    }
+}
+
+/// After shutdown the collector thread exits and closes `rx`; whatever
+/// is still queued was delivered beyond the expected set.
+fn expect_no_extras(rx: mpsc::Receiver<Vec<u8>>, what: &str) {
+    let extras: Vec<Vec<u8>> = rx.iter().collect();
+    assert!(extras.is_empty(), "{what}: delivered more than once: {extras:?}");
+}
+
+/// Case (a): A and B know each other and both send their first frames
+/// at the same instant, so each side's dial races the other's hello.
+/// Every frame sent is received exactly once.
+fn check_simultaneous_open_pair(tcp: bool) {
+    for round in 0..OPEN_ROUNDS {
+        let a = open_transport(tcp, "pair", round, 1);
+        let b = open_transport(tcp, "pair", round, 2);
+        a.register_peer(b.node(), &[b.local_endpoint()]).unwrap();
+        b.register_peer(a.node(), &[a.local_endpoint()]).unwrap();
+        let (rx_a, rx_b) = (spawn_collector(&a), spawn_collector(&b));
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for (from, to, tag) in [(&a, &b, b'a'), (&b, &a, b'b')] {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    for seq in 0..3u8 {
+                        from.send(to.node(), vec![tag, round, seq]).unwrap();
+                    }
+                });
+            }
+        });
+        let sent_by = |tag: u8| (0..3u8).map(|seq| vec![tag, round, seq]).collect::<Vec<_>>();
+        expect_frames(&rx_b, sent_by(b'a'), &format!("round {round}, a -> b"));
+        expect_frames(&rx_a, sent_by(b'b'), &format!("round {round}, b -> a"));
+        a.shutdown();
+        b.shutdown();
+        expect_no_extras(rx_a, &format!("round {round}, at a"));
+        expect_no_extras(rx_b, &format!("round {round}, at b"));
+    }
+}
+
+/// Case (b): three callers send their first frame to one server at the
+/// same instant and each receives the server's answer over whichever
+/// connection the server pooled last (it registers nobody). Either each
+/// caller is a client transport of its own, or — `shared`, the shape the
+/// benchmark's warm-up runs — all three are threads of **one** client,
+/// so three dials race for one pool slot.
+fn check_simultaneous_open_fan_in(tcp: bool, shared: bool) {
+    let case = if shared { "shared" } else { "fanin" };
+    for round in 0..OPEN_ROUNDS {
+        let server = open_transport(tcp, case, round, 9);
+        let clients: Vec<Arc<dyn WireTransport>> = (1..=if shared { 1 } else { 3 })
+            .map(|node| open_transport(tcp, case, round, node))
+            .collect();
+        let client_of = |caller: u8| &clients[usize::from(caller) % clients.len()];
+        for client in &clients {
+            client.register_peer(server.node(), &[server.local_endpoint()]).unwrap();
+        }
+        let rx_server = spawn_collector(&server);
+        let rx_clients: Vec<_> = clients.iter().map(spawn_collector).collect();
+        let barrier = Barrier::new(3);
+        std::thread::scope(|s| {
+            for caller in 0..3u8 {
+                let (barrier, server, client) = (&barrier, &server, client_of(caller));
+                s.spawn(move || {
+                    barrier.wait();
+                    client.send(server.node(), vec![caller, round]).unwrap();
+                });
+            }
+        });
+        for _ in 0..3 {
+            let first = rx_server
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("round {round}: a caller's first frame was lost"));
+            assert_eq!(first[1], round);
+            server.send(client_of(first[0]).node(), vec![b'!', first[0], round]).unwrap();
+        }
+        for (at, rx) in rx_clients.iter().enumerate() {
+            let answers = (0..3u8)
+                .filter(|caller| usize::from(*caller) % clients.len() == at)
+                .map(|caller| vec![b'!', caller, round])
+                .collect();
+            expect_frames(rx, answers, &format!("round {round}, answers at client {at}"));
+        }
+        server.shutdown();
+        clients.iter().for_each(|c| c.shutdown());
+        expect_no_extras(rx_server, &format!("round {round}, at the server"));
+        for rx in rx_clients {
+            expect_no_extras(rx, &format!("round {round}, at a client"));
+        }
+    }
+}
+
+#[test]
+fn tcp_simultaneous_open_pair_loses_no_frame() {
+    check_simultaneous_open_pair(true);
+}
+
+#[test]
+fn uds_simultaneous_open_pair_loses_no_frame() {
+    check_simultaneous_open_pair(false);
+}
+
+#[test]
+fn tcp_simultaneous_open_fan_in_loses_no_frame() {
+    check_simultaneous_open_fan_in(true, false);
+    check_simultaneous_open_fan_in(true, true);
+}
+
+#[test]
+fn uds_simultaneous_open_fan_in_loses_no_frame() {
+    check_simultaneous_open_fan_in(false, false);
+    check_simultaneous_open_fan_in(false, true);
 }

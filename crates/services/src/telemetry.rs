@@ -42,7 +42,8 @@ use orb::sync::{LockRank, OrderedMutex, OrderedRwLock};
 use orb::{FlightEventKind, HistogramSnapshot, MetricsSnapshot, Orb};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use weaver::objective::{Objective, ObjectiveKind};
 
 /// Default scrape period for [`TelemetryAggregator::start`], ms.
@@ -376,12 +377,19 @@ pub struct TelemetryAggregator {
     orb: Orb,
     introspector: Introspector,
     cfg: TelemetryConfig,
-    /// Time source for ring timestamps and SLO windows. Defaults to the
-    /// coarse process clock; netsim scenarios inject virtual time so
+    /// Time source for ring timestamps and SLO windows. Defaults to
+    /// [`process_clock_us`]; netsim scenarios inject virtual time so
     /// windowing is seed-deterministic.
     clock: Arc<dyn Fn() -> u64 + Send + Sync>,
     state: OrderedMutex<AggState>,
     handlers: OrderedRwLock<Vec<SloAlertHandler>>,
+}
+
+/// Microseconds since the first aggregator in this process asked: one
+/// monotone timeline shared by every aggregator the process hosts.
+fn process_clock_us() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
 impl TelemetryAggregator {
@@ -406,7 +414,7 @@ impl TelemetryAggregator {
             introspector: Introspector::new(orb.clone()),
             orb,
             cfg,
-            clock: Arc::new(orb::clock::coarse_now_us),
+            clock: Arc::new(process_clock_us),
             state: OrderedMutex::new(
                 LockRank::TelemetryState,
                 AggState {
@@ -457,7 +465,7 @@ impl TelemetryAggregator {
     /// every objective, and return the alert transitions (fires and
     /// resolves). Deterministic given a deterministic clock and network.
     pub fn scrape_once(&self) -> Vec<SloAlert> {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let now = (self.clock)();
         let targets: Vec<(NodeId, u64)> = self
             .state
