@@ -38,6 +38,30 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+echo "==> one seeded generator (netsim::rng; no rand, no proptest, no second PRNG, no shadow harness)"
+# Everything random draws from netsim::rng::SplitMix64, so a seed means
+# the same stream in every build (DESIGN.md 6). A second generator, or
+# one of the retired dependencies coming back, splits that again; so
+# does an offline harness that builds anything but the tree itself.
+if grep -rnE --include='*.rs' -e 'rand::' -e 'proptest::' -e 'StdRng' crates tests examples; then
+    echo "    rand/proptest/StdRng referenced: draw from netsim::rng::SplitMix64" >&2
+    exit 1
+fi
+if grep -nE '^(rand|proptest|serde)\b' Cargo.toml crates/*/Cargo.toml; then
+    echo "    rand, proptest and serde are not dependencies of this workspace" >&2
+    exit 1
+fi
+# qosmech::crypt's keystream is the spec'd xorshift-stream cipher, not a
+# source of randomness.
+if grep -rnF --include='*.rs' '<< 13' crates/*/src | grep -v '^crates/qosmech/src/crypt\.rs:'; then
+    echo "    hand-rolled xorshift step in product source: use netsim::rng::SplitMix64" >&2
+    exit 1
+fi
+if grep -nE 'rm |python3|shadow' tools/offline-check.sh; then
+    echo "    tools/offline-check.sh must build in place: no copy, no deletion, no rewrite" >&2
+    exit 1
+fi
+
 echo "==> orb hot path stays reviewable (one issue path, one wiring path, no file over 600 lines)"
 # orb::core and orb::wire are split along the Fig. 1 seams (DESIGN.md
 # 6d / 6g layer tables). A second place that builds a request or wires
@@ -128,7 +152,9 @@ rm -f "$SMOKE_OUT"
 echo "==> offline stand-ins still build the workspace"
 # tools/offline/ is what maqs_benchmark/run.sh and offline containers
 # build against; a box with crates.io would otherwise never compile it.
-tools/offline-check.sh build --workspace --all-targets
+# Built in place, into its own target directory: the lock file and
+# artifacts resolved against the stand-ins stay apart from this run's.
+CARGO_TARGET_DIR=target/offline tools/offline-check.sh build --workspace --all-targets
 
 echo "==> wire-transport conformance (netsim + TCP + UDS, loopback sockets)"
 # Real sockets can hang; a wall-clock bound keeps the gate un-wedgeable.
@@ -159,7 +185,7 @@ wait "$SMOKE_SRV" 2>/dev/null || true
 rm -f "$SMOKE_IOR"
 
 echo "==> conccheck interleaving models (bounded-preemption exhaustive)"
-# The checker's own self-tests, then the five ORB models: pending-table
+# The checker's own self-tests, then the ORB models: pending-table
 # accounting, ReplySlot armed-guard (plus the seeded mutation that
 # proves the model can fail), breaker probe races, flight-ring flush,
 # and the sharded dispatch-queue handoff (exactly-once, key-ordered).

@@ -15,8 +15,6 @@ use netsim::Network;
 use orb::{Any, Orb, OrbError, Servant};
 use parking_lot::Mutex;
 use qosmech::replication::{deploy_replicas, ReplicationMediator, ReplicationStrategy};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 use weaver::ClientStub;
@@ -67,11 +65,11 @@ fn availability(k: usize, p: f64, rounds: usize, seed: u64) -> f64 {
     ));
     let stub = ClientStub::new(client.clone(), iors[0].clone());
     stub.set_mediator(mediator);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = netsim::rng::SplitMix64::new(seed);
     let mut ok = 0usize;
     for _ in 0..rounds {
         for orb in &orbs {
-            if rng.gen_bool(p) {
+            if rng.chance(p) {
                 net.crash(orb.node());
             } else {
                 net.revive(orb.node());

@@ -38,17 +38,15 @@ pub fn row(label: &str, cols: &[String]) {
 /// Synthetic payload with tunable compressibility: `redundancy` in
 /// `[0, 1]` is the fraction of repeated content.
 pub fn payload(len: usize, redundancy: f64, seed: u64) -> Vec<u8> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = netsim::rng::SplitMix64::new(seed);
     let mut out = Vec::with_capacity(len);
     let pattern = b"MAQS-frame-metadata;codec=sim;";
     while out.len() < len {
-        if rng.gen_bool(redundancy) {
+        if rng.chance(redundancy) {
             out.extend_from_slice(pattern);
         } else {
             for _ in 0..8 {
-                out.push(rng.gen());
+                out.push(rng.next_u64() as u8);
             }
         }
     }

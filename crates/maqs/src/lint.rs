@@ -3,23 +3,23 @@
 //!
 //! [`crate::MaqsNode::deployment_view`] covers the server side (woven
 //! servants, installed implementations, negotiation capacities); the
-//! helpers here convert the *client* side — established
-//! [`weaver::QosBinding`]s and stub mediator chains — so a test or an
+//! helpers here convert the *client* side — struck
+//! [`services::Agreement`]s and stub mediator chains — so a test or an
 //! operator tool can lint a whole client/server deployment with
 //! [`qoslint::deploy::lint_deployment`].
 
 use qoslint::deploy::{BindingView, StubView};
-use weaver::{ClientStub, QosBindingRegistry};
+use services::Agreement;
+use weaver::ClientStub;
 
-/// Views of every live binding in `registry`, sorted by object key.
-pub fn binding_views(registry: &QosBindingRegistry) -> Vec<BindingView> {
-    registry
-        .bindings()
+/// Views of the bindings the client holds `agreements` for, in order.
+pub fn binding_views(agreements: &[Agreement]) -> Vec<BindingView> {
+    agreements
         .iter()
-        .map(|b| BindingView {
-            object_key: b.object.as_str().to_string(),
-            characteristic: b.characteristic.clone(),
-            params: b.params.iter().map(|(n, _)| n.clone()).collect(),
+        .map(|a| BindingView {
+            object_key: a.object.clone(),
+            characteristic: a.characteristic.clone(),
+            params: a.params.iter().map(|(n, _)| n.clone()).collect(),
         })
         .collect()
 }
@@ -36,10 +36,17 @@ mod tests {
 
     #[test]
     fn binding_views_carry_keys_characteristics_and_param_names() {
-        let reg = QosBindingRegistry::new();
-        reg.bind("kv", "Replication", vec![("replicas".into(), Any::ULong(3))]);
-        reg.bind("cam", "Actuality", vec![]);
-        let views = binding_views(&reg);
+        let agreement = |id, object: &str, characteristic: &str, params| Agreement {
+            id,
+            object: object.into(),
+            characteristic: characteristic.into(),
+            params,
+            version: 1,
+        };
+        let views = binding_views(&[
+            agreement(1, "cam", "Actuality", vec![]),
+            agreement(2, "kv", "Replication", vec![("replicas".into(), Any::ULong(3))]),
+        ]);
         assert_eq!(views.len(), 2);
         assert_eq!(views[0].object_key, "cam");
         assert_eq!(views[1].characteristic, "Replication");

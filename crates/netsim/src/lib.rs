@@ -44,6 +44,7 @@ mod link;
 mod message;
 mod network;
 mod node;
+pub mod rng;
 mod stats;
 mod time;
 

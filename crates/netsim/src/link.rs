@@ -1,7 +1,7 @@
 //! Link models: latency, bandwidth, jitter and loss.
 
+use crate::rng::SplitMix64;
 use crate::time::{VirtualDuration, VirtualInstant};
-use rand::Rng;
 
 /// Characteristics of a directed link between two nodes.
 ///
@@ -122,12 +122,12 @@ impl LinkModel {
     /// Compute the delivery time of a message and the new link-busy horizon.
     ///
     /// Returns `(deliver_vt, busy_until)`.
-    pub fn schedule<R: Rng>(
+    pub fn schedule(
         &self,
         send_vt: VirtualInstant,
         busy_until: VirtualInstant,
         bytes: usize,
-        rng: &mut R,
+        rng: &mut SplitMix64,
     ) -> (VirtualInstant, VirtualInstant) {
         let start = send_vt.max(busy_until);
         let ser = self.serialization_time(bytes);
@@ -135,22 +135,20 @@ impl LinkModel {
         let jitter = if self.jitter.as_nanos() == 0 {
             VirtualDuration::ZERO
         } else {
-            VirtualDuration::from_nanos(rng.gen_range(0..=self.jitter.as_nanos()))
+            VirtualDuration::from_nanos(rng.below_inclusive(self.jitter.as_nanos()))
         };
         (new_busy + self.latency + jitter, new_busy)
     }
 
     /// Sample whether a message on this link is lost.
-    pub fn sample_loss<R: Rng>(&self, rng: &mut R) -> bool {
-        self.loss > 0.0 && rng.gen_bool(self.loss.min(1.0))
+    pub fn sample_loss(&self, rng: &mut SplitMix64) -> bool {
+        self.loss > 0.0 && rng.chance(self.loss)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn serialization_time_scales_with_size() {
@@ -165,7 +163,7 @@ mod tests {
         let l = LinkModel::perfect()
             .with_bandwidth_bps(8_000)
             .with_latency(VirtualDuration::from_millis(10));
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         // First message: 1000 bytes = 1 s serialization.
         let (d1, busy1) = l.schedule(VirtualInstant::ZERO, VirtualInstant::ZERO, 1000, &mut rng);
         assert_eq!(busy1, VirtualInstant(1_000_000_000));
@@ -179,8 +177,8 @@ mod tests {
     #[test]
     fn jitter_is_bounded_and_deterministic() {
         let l = LinkModel::perfect().with_jitter(VirtualDuration::from_millis(5));
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
+        let mut a = SplitMix64::new(9);
+        let mut b = SplitMix64::new(9);
         for _ in 0..100 {
             let (da, _) = l.schedule(VirtualInstant::ZERO, VirtualInstant::ZERO, 10, &mut a);
             let (db, _) = l.schedule(VirtualInstant::ZERO, VirtualInstant::ZERO, 10, &mut b);
@@ -192,7 +190,7 @@ mod tests {
     #[test]
     fn loss_sampling_matches_probability_roughly() {
         let l = LinkModel::perfect().with_loss(0.3);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let lost = (0..10_000).filter(|_| l.sample_loss(&mut rng)).count();
         assert!((2_700..3_300).contains(&lost), "lost={lost}");
     }

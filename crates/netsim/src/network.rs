@@ -4,13 +4,12 @@ use crate::fault::{FaultAction, FaultPlan, FaultScript, Partition};
 use crate::link::LinkModel;
 use crate::message::{Message, NodeId};
 use crate::node::NetHandle;
+use crate::rng::SplitMix64;
 use crate::stats::NetworkStats;
 use crate::time::{VirtualClock, VirtualDuration, VirtualInstant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -57,7 +56,7 @@ struct State {
     default_link: LinkModel,
     faults: FaultPlan,
     stats: NetworkStats,
-    rng: StdRng,
+    rng: SplitMix64,
     next_id: u32,
     /// The fault clock: the high-water mark of virtual send times seen on
     /// the fabric, plus explicit [`Network::tick`] advances. Scheduled
@@ -146,15 +145,7 @@ impl NetworkInner {
         let busy = link.busy_until;
         let seq = link.next_seq;
         link.next_seq += 1;
-        // schedule() needs the rng; split the borrow by computing after.
-        let (deliver_vt, new_busy) = {
-            let mut tmp_rng = StdRng::seed_from_u64(0);
-            // Use the shared rng for determinism instead of tmp:
-            std::mem::swap(&mut tmp_rng, &mut st.rng);
-            let r = model.schedule(send_vt, busy, payload.len(), &mut tmp_rng);
-            std::mem::swap(&mut tmp_rng, &mut st.rng);
-            r
-        };
+        let (deliver_vt, new_busy) = model.schedule(send_vt, busy, payload.len(), &mut st.rng);
         if let Some(link) = st.links.get_mut(&(src, dst)) {
             link.busy_until = new_busy;
         }
@@ -215,7 +206,7 @@ impl Network {
                     default_link: LinkModel::perfect(),
                     faults: FaultPlan::new(),
                     stats: NetworkStats::default(),
-                    rng: StdRng::seed_from_u64(seed),
+                    rng: SplitMix64::new(seed),
                     next_id: 0,
                     fault_clock: VirtualInstant::ZERO,
                     observers: Vec::new(),

@@ -11,6 +11,27 @@ use crate::cdr::{CdrDecoder, CdrEncoder};
 use crate::error::OrbError;
 use std::fmt;
 
+/// Deepest sequence/struct nesting [`Any::decode`] and
+/// [`TypeCode::decode`] accept. Both recurse once per level, and a frame
+/// costs only a few bytes per level, so without a bound a small hostile
+/// frame overflows the decoding thread's stack.
+pub const MAX_ANY_DEPTH: usize = 64;
+
+/// Refuse nesting past [`MAX_ANY_DEPTH`].
+fn check_depth(depth: usize) -> Result<(), OrbError> {
+    if depth > MAX_ANY_DEPTH {
+        return Err(OrbError::Marshal(format!("nesting deeper than {MAX_ANY_DEPTH}")));
+    }
+    Ok(())
+}
+
+/// Room to reserve for `n` announced elements: every element is at
+/// least one byte, so a length prefix cannot reserve more than the rest
+/// of the buffer could hold.
+fn reservation(n: usize, dec: &CdrDecoder<'_>) -> usize {
+    n.min(1024).min(dec.remaining().len())
+}
+
 /// The type of an [`Any`] value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TypeCode {
@@ -79,8 +100,14 @@ impl TypeCode {
     ///
     /// # Errors
     ///
-    /// [`OrbError::Marshal`] on malformed input.
+    /// [`OrbError::Marshal`] on malformed input or nesting past
+    /// [`MAX_ANY_DEPTH`].
     pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<TypeCode, OrbError> {
+        TypeCode::decode_at(dec, 0)
+    }
+
+    fn decode_at(dec: &mut CdrDecoder<'_>, depth: usize) -> Result<TypeCode, OrbError> {
+        check_depth(depth)?;
         Ok(match dec.get_u8()? {
             0 => TypeCode::Void,
             1 => TypeCode::Bool,
@@ -92,14 +119,14 @@ impl TypeCode {
             7 => TypeCode::Double,
             8 => TypeCode::Str,
             9 => TypeCode::Bytes,
-            10 => TypeCode::Sequence(Box::new(TypeCode::decode(dec)?)),
+            10 => TypeCode::Sequence(Box::new(TypeCode::decode_at(dec, depth + 1)?)),
             11 => {
                 let name = dec.get_string()?;
                 let n = dec.get_len()?;
-                let mut fields = Vec::with_capacity(n.min(1024));
+                let mut fields = Vec::with_capacity(reservation(n, dec));
                 for _ in 0..n {
                     let fname = dec.get_string()?;
-                    let ftc = TypeCode::decode(dec)?;
+                    let ftc = TypeCode::decode_at(dec, depth + 1)?;
                     fields.push((fname, ftc));
                 }
                 TypeCode::Struct(name, fields)
@@ -216,8 +243,14 @@ impl Any {
     ///
     /// # Errors
     ///
-    /// [`OrbError::Marshal`] on malformed input.
+    /// [`OrbError::Marshal`] on malformed input or nesting past
+    /// [`MAX_ANY_DEPTH`].
     pub fn decode(dec: &mut CdrDecoder<'_>) -> Result<Any, OrbError> {
+        Any::decode_at(dec, 0)
+    }
+
+    fn decode_at(dec: &mut CdrDecoder<'_>, depth: usize) -> Result<Any, OrbError> {
+        check_depth(depth)?;
         Ok(match dec.get_u8()? {
             0 => Any::Void,
             1 => Any::Bool(dec.get_bool()?),
@@ -231,19 +264,19 @@ impl Any {
             9 => Any::Bytes(dec.get_bytes()?),
             10 => {
                 let n = dec.get_len()?;
-                let mut items = Vec::with_capacity(n.min(1024));
+                let mut items = Vec::with_capacity(reservation(n, dec));
                 for _ in 0..n {
-                    items.push(Any::decode(dec)?);
+                    items.push(Any::decode_at(dec, depth + 1)?);
                 }
                 Any::Sequence(items)
             }
             11 => {
                 let name = dec.get_string()?;
                 let n = dec.get_len()?;
-                let mut fields = Vec::with_capacity(n.min(1024));
+                let mut fields = Vec::with_capacity(reservation(n, dec));
                 for _ in 0..n {
                     let fname = dec.get_string()?;
-                    let fval = Any::decode(dec)?;
+                    let fval = Any::decode_at(dec, depth + 1)?;
                     fields.push((fname, fval));
                 }
                 Any::Struct(name, fields)
@@ -533,5 +566,74 @@ mod tests {
     #[test]
     fn garbage_tag_is_rejected() {
         assert!(Any::from_bytes(&[200]).is_err());
+    }
+
+    /// `levels` one-element sequence headers (tag, padding, count: 8 bytes
+    /// each from a 4-aligned offset) around a `Void`, as bytes: building,
+    /// encoding or dropping a value this deep would itself recurse.
+    fn nested_bytes(levels: usize) -> Vec<u8> {
+        let mut bytes = [10, 0, 0, 0, 1, 0, 0, 0].repeat(levels);
+        bytes.push(0);
+        bytes
+    }
+
+    fn nested(levels: usize) -> Any {
+        (0..levels).fold(Any::Void, |inner, _| Any::Sequence(vec![inner]))
+    }
+
+    /// 80 KB of nested headers used to abort the process (stack overflow
+    /// on the dispatcher thread); the small stack makes unbounded
+    /// recursion fail here in any build profile.
+    #[test]
+    fn hostile_nesting_is_a_marshal_error_not_a_stack_overflow() {
+        use crate::giop::{GiopMessage, RequestKind, RequestMessage};
+        let on_small_stack = std::thread::Builder::new().stack_size(256 * 1024).spawn(|| {
+            assert!(matches!(Any::from_bytes(&nested_bytes(100_000)), Err(OrbError::Marshal(_))));
+            assert_eq!(nested(3).to_bytes(), nested_bytes(3));
+            roundtrip(&nested(MAX_ANY_DEPTH));
+            assert!(Any::from_bytes(&nested_bytes(MAX_ANY_DEPTH + 1)).is_err());
+            let type_code = TypeCode::decode(&mut CdrDecoder::new(&[10; 100_000]));
+            assert!(matches!(type_code, Err(OrbError::Marshal(_))));
+
+            // A whole request frame carrying the deep argument: a request
+            // without arguments, its two trailing empty counts (arguments,
+            // service contexts) replaced by one argument and no contexts.
+            let request = |args| {
+                GiopMessage::Request(RequestMessage {
+                    request_id: 9,
+                    reply_to: netsim::NodeId(1),
+                    object_key: crate::ior::ObjectKey("key".into()),
+                    operation: "op".into(),
+                    args,
+                    response_expected: true,
+                    kind: RequestKind::ServiceRequest,
+                    qos: None,
+                    contexts: Vec::new(),
+                })
+                .to_bytes()
+            };
+            let frame = |levels| {
+                let mut frame = request(Vec::new());
+                frame.truncate(frame.len() - 8);
+                frame.extend_from_slice(&[1, 0, 0, 0]);
+                frame.extend_from_slice(&nested_bytes(levels));
+                frame.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0]);
+                frame
+            };
+            assert_eq!(frame(3), request(vec![nested(3)]));
+            assert!(GiopMessage::from_bytes(&frame(100_000)).is_err());
+        });
+        on_small_stack.expect("spawn").join().expect("no panic, no overflow");
+    }
+
+    /// A header announcing 64 Mi elements reserves for what the rest of
+    /// the buffer could hold, not for 1024 elements per nesting level.
+    #[test]
+    fn length_prefix_cannot_reserve_past_the_buffer() {
+        let bytes = [&[10, 0, 0, 0][..], &crate::cdr::MAX_LEN.to_le_bytes(), &[0; 5]].concat();
+        let mut dec = CdrDecoder::new(&bytes);
+        dec.get_u8().unwrap();
+        assert_eq!(reservation(dec.get_len().unwrap(), &dec), 5);
+        assert!(Any::from_bytes(&bytes).is_err());
     }
 }

@@ -187,11 +187,16 @@ impl Ior {
         if hex.len() % 2 != 0 {
             return Err(OrbError::Marshal("odd-length IOR hex".to_string()));
         }
+        // Digit by digit over the bytes: slicing the `str` two bytes at
+        // a time would panic inside a multi-byte character.
+        let nibble = |digit: u8| {
+            char::from(digit).to_digit(16).ok_or_else(|| {
+                OrbError::Marshal(format!("bad IOR hex digit {:?}", char::from(digit)))
+            })
+        };
         let mut bytes = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let b = u8::from_str_radix(&hex[i..i + 2], 16)
-                .map_err(|e| OrbError::Marshal(format!("bad IOR hex: {e}")))?;
-            bytes.push(b);
+        for pair in hex.as_bytes().chunks_exact(2) {
+            bytes.push((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8);
         }
         Ior::decode(&mut CdrDecoder::new(&bytes))
     }
@@ -258,6 +263,8 @@ mod tests {
         assert!(Ior::from_uri("maqs-ior:abc").is_err()); // odd length
         assert!(Ior::from_uri("maqs-ior:zz").is_err()); // bad hex
         assert!(Ior::from_uri("maqs-ior:00").is_err()); // truncated payload
+        assert!(Ior::from_uri("maqs-ior:0é0").is_err()); // a pair splits a character
+        assert!(Ior::from_uri("maqs-ior:+f").is_err()); // a sign is not a digit
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! | 160 | `IntrospectionBindings` | introspection bindings provider | `services::introspection` |
 //! | 164 | `TelemetryState` | aggregator node/ring/SLO state | `services::telemetry` |
 //! | 168 | `SloHandlers` | SLO alert-handler list | `services::telemetry` |
-//! | 200 | `BindingRegistry` | object-key → QoS binding map | `weaver::binding` |
 //! | 220 | `WovenState` | woven-skeleton server chain | `weaver::skeleton` |
 //! | 230 | `StubState` | woven-stub client chain | `weaver::mediator` |
 //! | 240 | `ResiliencePolicy` | resilience retry/fallback policy | `weaver::resilience` |
@@ -86,8 +85,7 @@
 //!    to [`LockRank::TABLE`].
 //! 3. Wrap the lock in [`OrderedMutex`]/[`OrderedRwLock`] with that rank.
 //! 4. Run `cargo test` (debug): every existing test doubles as a
-//!    lock-order test, and `qoslint` (QL201/QL202) checks the table
-//!    itself stays acyclic and complete.
+//!    lock-order test.
 
 use std::time::{Duration, Instant};
 
@@ -115,7 +113,6 @@ pub enum LockRank {
     IntrospectionBindings = 160,
     TelemetryState = 164,
     SloHandlers = 168,
-    BindingRegistry = 200,
     WovenState = 220,
     StubState = 230,
     ResiliencePolicy = 240,
@@ -151,9 +148,7 @@ pub type RankRow = (u16, &'static str, &'static str);
 impl LockRank {
     /// The declared hierarchy as plain data, in acquisition order.
     ///
-    /// This is the machine-readable form of the module-level table; it
-    /// feeds the introspection service and `qoslint`'s concurrency lints
-    /// (QL201–QL203).
+    /// This is the machine-readable form of the module-level table.
     pub const TABLE: &'static [RankRow] = &[
         (100, "NamingBindings", "services::naming"),
         (110, "TradingOffers", "services::trading"),
@@ -168,7 +163,6 @@ impl LockRank {
         (160, "IntrospectionBindings", "services::introspection"),
         (164, "TelemetryState", "services::telemetry"),
         (168, "SloHandlers", "services::telemetry"),
-        (200, "BindingRegistry", "weaver::binding"),
         (220, "WovenState", "weaver::skeleton"),
         (230, "StubState", "weaver::mediator"),
         (240, "ResiliencePolicy", "weaver::resilience"),
@@ -566,7 +560,7 @@ mod tests {
 
     #[test]
     fn in_order_acquisition_is_allowed() {
-        let outer = OrderedMutex::new(LockRank::BindingRegistry, 1u32);
+        let outer = OrderedMutex::new(LockRank::WovenState, 1u32);
         let inner = OrderedMutex::new(LockRank::PendingShard, 2u32);
         let leaf = OrderedRwLock::new(LockRank::FlightRing, 3u32);
         let a = outer.lock();
@@ -575,7 +569,7 @@ mod tests {
         assert_eq!(*a + *b + *c, 6);
         assert_eq!(
             held_ranks(),
-            vec![LockRank::BindingRegistry, LockRank::PendingShard, LockRank::FlightRing]
+            vec![LockRank::WovenState, LockRank::PendingShard, LockRank::FlightRing]
         );
     }
 
@@ -606,7 +600,7 @@ mod tests {
 
     #[test]
     fn release_unwinds_the_stack_even_out_of_lifo_order() {
-        let low = OrderedMutex::new(LockRank::BindingRegistry, ());
+        let low = OrderedMutex::new(LockRank::WovenState, ());
         let high = OrderedMutex::new(LockRank::PendingShard, ());
         let g1 = low.lock();
         let g2 = high.lock();
@@ -660,5 +654,15 @@ mod tests {
         // Spot-check enum/table agreement.
         assert_eq!(LockRank::PendingShard.name(), "PendingShard");
         assert_eq!(LockRank::FlightDumps.value(), 730);
+    }
+
+    /// The four places product code holds one lock while taking another
+    /// (DESIGN.md 6f, "observed nestings"): each must ascend.
+    #[test]
+    fn observed_nestings_ascend() {
+        assert!(LockRank::AccountingUsage < LockRank::AccountingTariffs);
+        assert!(LockRank::QosMechState < LockRank::QosMechStats);
+        assert!(LockRank::QosMechState < LockRank::QosMechMetrics);
+        assert!(LockRank::FlightBuf < LockRank::FlightRing);
     }
 }

@@ -7,6 +7,7 @@ use super::socket::SocketInner;
 use super::{frame, ConnHealth, Endpoint, WireError};
 use crate::flight::FlightEventKind;
 use crate::retry::RetryPolicy;
+use netsim::rng::SplitMix64;
 use netsim::NodeId;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -18,8 +19,8 @@ use std::time::{Duration, Instant};
 /// the peer's endpoint list with capped exponential backoff between
 /// them — the [`RetryPolicy`] shape, kept as data rather than a second
 /// backoff implementation. Each backoff is randomized to 50–100 % of the
-/// scheduled value, from a sequence seeded by the node id, so restarting
-/// fleets do not thunder in lockstep.
+/// scheduled value, from a sequence seeded by the node and peer ids, so
+/// restarting fleets do not thunder in lockstep.
 const REDIAL: RetryPolicy = RetryPolicy {
     max_attempts: 4,
     initial_backoff: Duration::from_millis(20),
@@ -182,6 +183,9 @@ impl SocketInner {
         // Shutdown, supersession and eviction all end the recovery.
         let cancelled = || self.closed.load(Ordering::SeqCst) || !conn.is_open();
         let attempts = REDIAL.max_attempts;
+        // Seeded per (node, peer): two nodes redialling one peer do not
+        // back off in step, and a run replays.
+        let mut jitter = SplitMix64::new(u64::from(self.node.0) << 32 | u64::from(conn.peer.0));
         for attempt in 1..=attempts {
             if cancelled() {
                 break;
@@ -211,7 +215,7 @@ impl SocketInner {
                 self.emit(FlightEventKind::WireRedial, failed);
                 break;
             }
-            let backoff = self.jittered(REDIAL.backoff(attempt));
+            let backoff = REDIAL.backoff(attempt) * (50 + jitter.below(51) as u32) / 100;
             self.emit(FlightEventKind::WireRedial, format!("{failed}; backing off {backoff:?}"));
             // Sleep in slices so shutdown isn't held up by a long backoff.
             let deadline = Instant::now() + backoff;
@@ -220,18 +224,5 @@ impl SocketInner {
             }
         }
         self.abandon(conn, "redial exhausted");
-    }
-
-    /// Deterministic jitter: scale `d` to 50–100 % using an xorshift
-    /// sequence (data races on the seed are harmless — any interleaving
-    /// is still a valid sequence).
-    fn jittered(&self, d: Duration) -> Duration {
-        let mut x = self.jitter.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter.store(x, Ordering::Relaxed);
-        let percent = 50 + (x % 51) as u32; // 50..=100
-        d * percent / 100
     }
 }

@@ -29,6 +29,7 @@
 use super::{ConnHealth, Endpoint, WireError, WireFrame, WireTransport};
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::sync::{LockRank, OrderedMutex};
+use netsim::rng::SplitMix64;
 use netsim::NodeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -148,8 +149,6 @@ pub struct FaultyTransport {
     script: WireFaultScript,
     /// Sends seen so far (the trigger clock).
     sends: AtomicU64,
-    /// Deterministic xorshift state for probabilistic rules.
-    rng: AtomicU64,
     /// Faults actually injected.
     injected: AtomicU64,
     /// While set, delivered frames are parked in `held` instead of
@@ -163,14 +162,10 @@ pub struct FaultyTransport {
 impl FaultyTransport {
     /// Decorate `inner` with `script`.
     pub fn new(inner: Arc<dyn WireTransport>, script: WireFaultScript) -> FaultyTransport {
-        // Xorshift needs a nonzero state; fold the seed into a fixed
-        // odd constant so seed 0 still works.
-        let rng = script.seed ^ 0x9E37_79B9_7F4A_7C15;
         FaultyTransport {
             inner,
             script,
             sends: AtomicU64::new(0),
-            rng: AtomicU64::new(if rng == 0 { 1 } else { rng }),
             injected: AtomicU64::new(0),
             stalled: AtomicBool::new(false),
             held: OrderedMutex::new(LockRank::WireFaultState, VecDeque::new()),
@@ -202,25 +197,17 @@ impl FaultyTransport {
         }
     }
 
-    /// Next value of the deterministic per-transport random stream.
-    fn next_rand(&self) -> u64 {
-        let mut x = self.rng.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng.store(x, Ordering::Relaxed);
-        x
-    }
-
-    /// Which fault (if any) fires for send number `n`.
+    /// Which fault (if any) fires for send number `n`: a function of the
+    /// script and `n` alone, so concurrent senders cannot reorder the
+    /// probabilistic draws. `n` goes into the high half of the seed:
+    /// under a plain xor, seed 6 would replay seed 7 with sends swapped.
     fn fault_for(&self, n: u64) -> Option<WireFault> {
+        let mut rng = SplitMix64::new(self.script.seed ^ n.rotate_left(32));
         for (trigger, fault) in &self.script.rules {
             let hit = match trigger {
                 Trigger::OnSend(at) => n == *at,
                 Trigger::EverySend(k) => n % k == k - 1,
-                Trigger::WithProbability(permille) => {
-                    (self.next_rand() % 1000) < u64::from(*permille)
-                }
+                Trigger::WithProbability(permille) => rng.below(1000) < *permille as usize,
             };
             if hit {
                 return Some(*fault);

@@ -52,7 +52,6 @@ pub(super) struct SocketInner {
     inbox_rx: Receiver<WireFrame>,
     pub(super) closed: AtomicBool,
     flight: OnceLock<FlightRecorder>,
-    pub(super) jitter: AtomicU64,
     pub(super) frame_errors: AtomicU64,
 }
 
@@ -130,6 +129,14 @@ impl SocketInner {
         let conn = Arc::new(Conn::new(peer));
         let superseded = {
             let mut state = self.state.write();
+            // shutdown() sets `closed` before it drains the pool under
+            // this lock: a hello that finishes after the drain must not
+            // pool a connection nobody will ever close (the peer would
+            // keep writing into a transport whose inbox is gone).
+            if self.closed.load(Ordering::SeqCst) {
+                stream.shutdown(Shutdown::Both);
+                return;
+            }
             state.health.insert(peer, ConnHealth::Up);
             let old = state.conns.insert(peer, Arc::clone(&conn));
             if let Some(old) = &old {
@@ -261,9 +268,6 @@ impl<F> SocketTransport<F> {
         config: WireConfig,
     ) -> Result<SocketTransport<F>, WireError> {
         let (inbox_tx, inbox_rx) = unbounded::<WireFrame>();
-        // Any nonzero value works; mix the node id so two nodes do not
-        // share a jitter sequence.
-        let seed = 0x9E37_79B9_7F4A_7C15 ^ u64::from(node.0);
         let inner = Arc::new(SocketInner {
             node,
             local,
@@ -276,7 +280,6 @@ impl<F> SocketTransport<F> {
             inbox_rx,
             closed: AtomicBool::new(false),
             flight: OnceLock::new(),
-            jitter: AtomicU64::new(seed),
             frame_errors: AtomicU64::new(0),
         });
         {

@@ -30,7 +30,7 @@ use orb::wire::{
     WireError, WireTransport,
 };
 use orb::{Any, FlightEventKind, Orb, OrbConfig, OrbError, Servant};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -622,6 +622,30 @@ fn fault_orb_failover_survives_primary_death_mid_load() {
 
     client.shutdown();
     server2.shutdown();
+}
+
+/// A dialer whose hello arrives after `shutdown()` is hung up on. The
+/// hello is read off the accept thread and can finish after shutdown
+/// drained the pool; pooling the stream then left a connection nobody
+/// ever closes, and the dialer kept writing into a dead transport
+/// instead of failing over (the failover case above failed that way
+/// about once in fifty runs on a loaded box).
+#[test]
+fn fault_hello_after_shutdown_is_hung_up_on() {
+    let dying = TcpTransport::bind(NodeId(2), "127.0.0.1:0").unwrap();
+    let Endpoint::Tcp(addr) = WireTransport::local_endpoint(&dying) else { panic!("tcp endpoint") };
+    let mut dialer = std::net::TcpStream::connect(&addr).unwrap();
+    // Let the accept thread hand the silent stream to its hello reader
+    // (if it has not yet, shutdown drops the stream: same outcome).
+    std::thread::sleep(Duration::from_millis(50));
+    dying.shutdown();
+    dialer.write_all(b"MAQW\x01\x01\0\0\0").unwrap();
+    dialer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match dialer.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("stream still open after shutdown: {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------------

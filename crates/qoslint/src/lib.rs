@@ -15,12 +15,6 @@
 //!   against a snapshot of the *runtime* weaving state — client bindings
 //!   and mediator chains versus the implementations a server actually
 //!   installed.
-//! * **Concurrency lints** ([`conc::lint_concurrency`], codes
-//!   `QL201`–`QL203`): checks of the declared lock-rank hierarchy
-//!   (`orb::sync`) and the QoS mediator chains' re-entry behaviour over
-//!   a [`conc::ConcurrencyView`] — unranked locks in ranked modules,
-//!   cycles in the declared acquisition order, chains that can re-enter
-//!   the binding registry while a binding lock is held.
 //!
 //! Every finding is a [`qidl::Diagnostic`] with a stable code and, for
 //! spec-level lints, a source span; [`render`] turns reports into
@@ -29,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conc;
 pub mod deploy;
 pub mod render;
 mod spec_lints;
@@ -74,16 +67,6 @@ pub mod codes {
     /// QoS binding or mediated stub with no resilience policy guarding
     /// it (only checked when the view reports resilience coverage).
     pub const NO_RESILIENCE: Code = Code("QL107");
-
-    /// Unranked lock declared in a module that participates in the lock
-    /// hierarchy (or a lock naming a rank the hierarchy doesn't declare).
-    pub const UNRANKED_LOCK: Code = Code("QL201");
-    /// Declared acquisition order inverts the numeric rank hierarchy or
-    /// contains a cycle.
-    pub const RANK_CYCLE: Code = Code("QL202");
-    /// QoS mediator chain that can re-enter the binding registry while a
-    /// lock at or above the registry's rank is held.
-    pub const REENTRANT_CHAIN: Code = Code("QL203");
 }
 
 /// Run the spec-level lints (`QL010`–`QL014`) over a parsed [`Spec`].

@@ -247,9 +247,8 @@ pub mod codec {
 
         #[test]
         fn random_data_grows_only_slightly() {
-            use rand::{RngCore, SeedableRng};
             let mut data = vec![0u8; 64 * 1024];
-            rand::rngs::StdRng::seed_from_u64(1).fill_bytes(&mut data);
+            netsim::rng::SplitMix64::new(1).fill(&mut data);
             let c = compress(&data);
             assert!(c.len() <= data.len() + 16, "got {} of {}", c.len(), data.len());
             assert_eq!(decompress(&c).unwrap(), data);
@@ -257,9 +256,8 @@ pub mod codec {
 
         #[test]
         fn long_literal_runs_split_correctly() {
-            use rand::{RngCore, SeedableRng};
             let mut data = vec![0u8; 70_000]; // > u16::MAX literal run
-            rand::rngs::StdRng::seed_from_u64(2).fill_bytes(&mut data);
+            netsim::rng::SplitMix64::new(2).fill(&mut data);
             roundtrip(&data);
         }
 

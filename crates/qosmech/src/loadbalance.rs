@@ -7,10 +7,9 @@
 //! through QoS operations (management responsibility).
 
 use orb::sync::{LockRank, OrderedMutex, OrderedRwLock};
+use netsim::rng::SplitMix64;
 use netsim::NodeId;
 use orb::{Any, Ior, Orb, OrbError, Servant};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
@@ -43,7 +42,7 @@ pub struct LoadBalancingMediator {
     servers: OrderedRwLock<Vec<ServerSlot>>,
     strategy: Strategy,
     cursor: AtomicU64,
-    rng: OrderedMutex<StdRng>,
+    rng: OrderedMutex<SplitMix64>,
 }
 
 impl LoadBalancingMediator {
@@ -60,7 +59,7 @@ impl LoadBalancingMediator {
             ),
             strategy,
             cursor: AtomicU64::new(0),
-            rng: OrderedMutex::new(LockRank::QosMechState, StdRng::seed_from_u64(seed)),
+            rng: OrderedMutex::new(LockRank::QosMechState, SplitMix64::new(seed)),
         }
     }
 
@@ -83,7 +82,7 @@ impl LoadBalancingMediator {
             Strategy::RoundRobin => {
                 (self.cursor.fetch_add(1, Ordering::Relaxed) % servers.len() as u64) as usize
             }
-            Strategy::Random => self.rng.lock().gen_range(0..servers.len()),
+            Strategy::Random => self.rng.lock().below(servers.len()),
             Strategy::LeastLoaded => {
                 // Unprobed servers (ewma 0) come first; among servers
                 // within 50% of the best estimate, rotate round-robin so

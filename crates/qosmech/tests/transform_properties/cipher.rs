@@ -3,7 +3,7 @@
 //! frames.
 
 use crate::reference;
-use crate::rng::{damaged, SplitMix64};
+use crate::rng::{bytes, damaged, SplitMix64};
 use orb::qos_binding::QosModule;
 use orb::Any;
 use qosmech::crypt::{open, seal, EncryptionModule, MAGIC};
@@ -19,7 +19,7 @@ fn tag_of(plain: &[u8]) -> [u8; 8] {
 fn every_word_loop_tail_roundtrips() {
     let mut rng = SplitMix64::new(0x5EA1);
     for len in (0..=64).chain([16_383, 16_384, 16_385]) {
-        let data = rng.bytes(len);
+        let data = bytes(&mut rng, len);
         let (key, nonce) = (rng.next_u64(), rng.next_u64());
         let frame = seal(key, nonce, &data);
         assert_eq!(frame.len(), HEADER_LEN + len);
@@ -33,7 +33,7 @@ fn every_word_loop_tail_roundtrips() {
 fn ciphertext_is_that_of_the_bytewise_cipher() {
     let mut rng = SplitMix64::new(0xC1F);
     for len in (0..=64).chain([1_000, 16_385]) {
-        let plain = rng.bytes(len);
+        let plain = bytes(&mut rng, len);
         let (key, nonce) = (rng.next_u64(), rng.next_u64());
         let mut want = plain.clone();
         reference::apply_keystream(key, nonce, &mut want);
@@ -45,7 +45,7 @@ fn ciphertext_is_that_of_the_bytewise_cipher() {
 fn tag_covers_every_bit_and_the_length() {
     // Three blocks and a tail: every lane, the padding, and a lane's
     // high bits meeting again one block later.
-    let data = SplitMix64::new(0x7A6).bytes(100);
+    let data = bytes(&mut SplitMix64::new(0x7A6), 100);
     let want = tag_of(&data);
     let flip = |data: &mut [u8], bit: usize| data[bit / 8] ^= 1 << (bit % 8);
     for a in 0..data.len() * 8 {
@@ -69,7 +69,7 @@ fn damaged_frames_never_open_to_other_plaintext() {
     let mut rng = SplitMix64::new(0xBAD);
     for _ in 0..10_000 {
         let len = rng.below(200);
-        let plain = rng.bytes(len);
+        let plain = bytes(&mut rng, len);
         let valid = seal(11, rng.next_u64(), &plain);
         let frame = damaged(&mut rng, &valid, MAGIC);
         // The nonce is covered only through the keystream, so a damaged

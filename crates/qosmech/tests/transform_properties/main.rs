@@ -1,12 +1,9 @@
 //! Seeded properties of the two bulk transforms, the `MLZ1` codec and
 //! the `MENC` cipher.
 //!
-//! Dependency-free on purpose (a local SplitMix64, no `proptest`): these
-//! must run under plain `cargo test` in the offline container, where the
-//! `proptest` suites are deleted before the build. They sit in a test
-//! binary of their own because they are CPU-bound, and the crate's unit
-//! tests include wall-clock-sensitive load-balancing scenarios that
-//! would share its threads.
+//! They sit in a test binary of their own because they are CPU-bound,
+//! and the crate's unit tests include wall-clock-sensitive
+//! load-balancing scenarios that would share its threads.
 
 mod cipher;
 mod codec;

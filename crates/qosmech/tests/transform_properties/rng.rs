@@ -1,38 +1,12 @@
-//! SplitMix64 and the seeded input shapes of the property tests.
+//! The seeded input shapes of the property tests, drawn from the
+//! workspace's one generator.
 
-pub struct SplitMix64(u64);
+pub use netsim::rng::SplitMix64;
 
-impl SplitMix64 {
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    pub fn bytes(&mut self, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len + 8);
-        while out.len() < len {
-            out.extend_from_slice(&self.next_u64().to_le_bytes());
-        }
-        out.truncate(len);
-        out
-    }
+pub fn bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    let mut out = vec![0; len];
+    rng.fill(&mut out);
+    out
 }
 
 /// `len` bytes in which a chunk repeats `pattern` with probability
@@ -42,7 +16,7 @@ impl SplitMix64 {
 pub fn mixed(rng: &mut SplitMix64, len: usize, redundancy: f64, pattern: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(len + pattern.len().max(8));
     while out.len() < len {
-        if rng.unit() < redundancy {
+        if rng.chance(redundancy) {
             out.extend_from_slice(pattern);
         } else {
             out.extend_from_slice(&rng.next_u64().to_le_bytes());
@@ -66,12 +40,12 @@ pub fn damaged(rng: &mut SplitMix64, valid: &[u8], magic: &[u8]) -> Vec<u8> {
         }
         2 => {
             let len = rng.below(64);
-            frame = rng.bytes(len);
+            frame = bytes(rng, len);
         }
         _ => {
             frame = magic.to_vec();
             let len = rng.below(64);
-            frame.extend_from_slice(&rng.bytes(len));
+            frame.extend_from_slice(&bytes(rng, len));
         }
     }
     frame

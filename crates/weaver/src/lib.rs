@@ -20,11 +20,6 @@
 //!   **epilog**. The active [`QosImplementation`] delegate can be
 //!   exchanged at runtime.
 //!
-//! * **Binding** — [`binding::QosBindingRegistry`] records which
-//!   characteristic (and which parameter values) a client/object
-//!   relationship is currently bound to, with the paper's granularity
-//!   rule (interfaces only) enforced by construction.
-//!
 //! * **Objectives** — [`objective::Objective`] is the one translation
 //!   from an agreement's named parameter values to the typed bounds
 //!   every enforcing layer reads.
@@ -81,14 +76,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binding;
 pub mod mediator;
 pub mod objective;
 pub mod reply;
 pub mod resilience;
 pub mod skeleton;
 
-pub use binding::{QosBinding, QosBindingRegistry};
 pub use mediator::{annotate_span, Call, ClientStub, Mediator, Next};
 pub use orb::PendingCall;
 pub use reply::Reply;

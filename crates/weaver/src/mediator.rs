@@ -175,12 +175,6 @@ impl ClientStub {
         self.state.write().qos = qos;
     }
 
-    /// Apply an established [`crate::QosBinding`]: every subsequent call
-    /// carries its wire context (characteristic + agreed parameters).
-    pub fn apply_binding(&self, binding: &crate::QosBinding) {
-        self.set_qos_context(Some(binding.to_context()));
-    }
-
     /// Invoke `op(args)` through the mediator chain.
     ///
     /// Sampled calls are traced: a fresh [`TraceContext`] is minted at

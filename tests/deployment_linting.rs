@@ -12,7 +12,6 @@ use maqs::qoslint::deploy::lint_deployment;
 use maqs::qoslint::render::render_json;
 use maqs::qoslint::{codes, Severity};
 use std::sync::Arc;
-use weaver::QosBindingRegistry;
 
 const SPEC: &str = r#"
     interface Counter with qos Replication, Actuality {
@@ -41,6 +40,17 @@ impl Servant for Counter {
 
 fn counter() -> Arc<dyn Servant> {
     Arc::new(Counter(parking_lot::Mutex::new(0)))
+}
+
+/// The client's agreement on `characteristic` for the `counter` object.
+fn agreement(characteristic: &str, params: Vec<(String, Any)>) -> Agreement {
+    Agreement {
+        id: 1,
+        object: "counter".into(),
+        characteristic: characteristic.into(),
+        params,
+        version: 1,
+    }
 }
 
 /// A mediator that only names a characteristic; behaviour is irrelevant
@@ -74,14 +84,13 @@ fn healthy_deployment_lints_clean() {
         .unwrap();
 
     // Client side: a binding plus a matching mediator chain.
-    let registry = QosBindingRegistry::new();
-    let binding = registry.bind("counter", "Replication", vec![("replicas".into(), Any::ULong(3))]);
+    let agreement = agreement("Replication", vec![("replicas".into(), Any::ULong(3))]);
     let stub = client.stub(&ior);
     stub.push_mediator(Arc::new(Named("Replication")));
-    stub.apply_binding(&binding);
+    stub.set_qos_context(Some(agreement.to_context()));
 
     let mut view = server.deployment_view();
-    view.bindings = binding_views(&registry);
+    view.bindings = binding_views(&[agreement]);
     view.stubs = vec![stub_view("counter", &stub)];
 
     let diags = lint_deployment(server.repository(), &view);
@@ -111,14 +120,12 @@ fn broken_client_state_is_caught() {
         )
         .unwrap();
 
-    let registry = QosBindingRegistry::new();
     // Unknown characteristic, and a param Replication does not declare.
-    registry.bind("counter", "Teleportation", vec![]);
     let stub = client.stub(&ior);
     stub.push_mediator(Arc::new(Named("Actuality")));
 
     let mut view = server.deployment_view();
-    view.bindings = binding_views(&registry);
+    view.bindings = binding_views(&[agreement("Teleportation", vec![])]);
     view.bindings.push(maqs::qoslint::deploy::BindingView {
         object_key: "counter".into(),
         characteristic: "Replication".into(),

@@ -153,9 +153,9 @@ fn deep_argument_lists_and_wide_sequences() {
 
 #[test]
 fn binding_context_applies_to_every_call() {
-    // apply_binding wires the negotiated agreement into the stub so each
-    // call carries the wire context — checked via the server seeing the
-    // QoS path (module transform) only after the binding is applied.
+    // The agreement's context on the stub makes each call carry it on
+    // the wire — checked via the server seeing the QoS path (module
+    // transform) only once the context is set.
     let net = Network::new(66);
     let server = Orb::start(&net, "server");
     let client = Orb::start(&net, "client");
@@ -168,15 +168,20 @@ fn binding_context_applies_to_every_call() {
         .bind(BindingKey { peer: None, key: ior.key.clone() }, COMPRESSION_MODULE)
         .unwrap();
 
-    let registry = weaver::QosBindingRegistry::new();
-    let binding = registry.bind(ior.key.0.clone(), "Compression", vec![]);
+    let agreement = services::Agreement {
+        id: 1,
+        object: ior.key.0.clone(),
+        characteristic: "Compression".into(),
+        params: vec![],
+        version: 1,
+    };
     let stub = weaver::ClientStub::new(client.clone(), ior.clone());
 
     // Without the context the call takes the plain path (module idle).
     stub.invoke("echo", &[Any::Bytes(vec![9; 512])]).unwrap();
     assert_eq!(tx.bytes_in(), 0);
 
-    stub.apply_binding(&binding);
+    stub.set_qos_context(Some(agreement.to_context()));
     stub.invoke("echo", &[Any::Bytes(vec![9; 512])]).unwrap();
     assert!(tx.bytes_in() > 0, "binding context must route through the module");
     server.shutdown();

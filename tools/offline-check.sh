@@ -2,93 +2,43 @@
 # Offline build-and-test harness for containers with no crates.io access.
 #
 # The CI container bakes in the Rust toolchain but has no network and an
-# empty cargo registry, so `cargo build` at the repo root cannot resolve
-# the external dependencies (parking_lot, bytes, crossbeam, rand,
-# criterion, proptest). This script copies the workspace into a shadow
-# directory, patches those dependencies to the API-subset stand-ins under
-# `tools/offline/`, and builds + tests there. The real tree is never
-# modified, and real builds (with network) never see the stubs.
+# empty cargo registry, so a bare `cargo build` at the repo root cannot
+# resolve the four external dependencies (parking_lot, bytes, crossbeam,
+# criterion). This script runs cargo in place with each of them patched,
+# on the command line, to its API-subset stand-in under `tools/offline/`
+# (the mechanism `maqs_benchmark/run.sh` uses). No manifest is edited; the
+# only thing left behind is the root `Cargo.lock` (git-ignored).
 #
 # Usage:
-#   tools/offline-check.sh              # build + test the whole shadow
+#   tools/offline-check.sh              # build + test the whole workspace
 #   tools/offline-check.sh <cargo args> # e.g. `test -p orb --lib`
 #
-# Caveats:
-# - proptest-based tests (tests/proptests.rs, crates/netsim/tests/
-#   properties.rs) are removed from the shadow; everything else compiles
-#   and runs.
-# - The stand-ins are simplified (std-mutex parking_lot, a few-iteration
-#   criterion); timing-sensitive results are NOT representative. This is
-#   a correctness gate, not a benchmark environment.
+# The stand-ins are simplified (std-mutex parking_lot, a few-iteration
+# criterion); timing-sensitive results are NOT representative. This is
+# a correctness gate, not a benchmark environment.
+#
+# `tools/offline/rand/` is no longer used by the product but must stay
+# on disk: `maqs_benchmark/run.sh` still passes it as a `--config patch`
+# (an unused patch is a warning) — removing it is a benchmark PR.
 set -eu
 
-REPO="$(cd "$(dirname "$0")/.." && pwd)"
-SHADOW="${MAQS_SHADOW_DIR:-/tmp/maqs-shadow}"
+OFFLINE="$(cd "$(dirname "$0")/offline" && pwd)"
+cd "$OFFLINE/../.."
 
-# Mirror the workspace (sources only; the shadow keeps its own target/).
-mkdir -p "$SHADOW"
-python3 - "$REPO" "$SHADOW" <<'EOF'
-import os, shutil, sys
-repo, shadow = sys.argv[1], sys.argv[2]
-skip = {".git", "target", "tools"}
-live = set()
-for entry in os.listdir(repo):
-    if entry in skip:
-        continue
-    live.add(entry)
-    src, dst = os.path.join(repo, entry), os.path.join(shadow, entry)
-    if os.path.isdir(src):
-        shutil.copytree(src, dst, dirs_exist_ok=True)
-    else:
-        shutil.copy2(src, dst)
-# Delete shadow entries that no longer exist in the repo (stale sources
-# would otherwise keep compiling), but keep the shadow's own target/.
-for entry in os.listdir(shadow):
-    if entry == "target" or entry in live:
-        continue
-    path = os.path.join(shadow, entry)
-    shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
-# Prune files deleted from still-present directories.
-for entry in live:
-    src_root, dst_root = os.path.join(repo, entry), os.path.join(shadow, entry)
-    if not os.path.isdir(dst_root):
-        continue
-    for dirpath, dirnames, filenames in os.walk(dst_root, topdown=False):
-        rel = os.path.relpath(dirpath, shadow)
-        for f in filenames:
-            if not os.path.exists(os.path.join(repo, rel, f)):
-                os.remove(os.path.join(dirpath, f))
-        if not os.listdir(dirpath):
-            os.rmdir(dirpath)
-EOF
+run() {
+    subcommand="$1"
+    shift
+    cargo "$subcommand" --offline \
+        --config "patch.crates-io.parking_lot.path='$OFFLINE/parking_lot'" \
+        --config "patch.crates-io.bytes.path='$OFFLINE/bytes'" \
+        --config "patch.crates-io.crossbeam.path='$OFFLINE/crossbeam'" \
+        --config "patch.crates-io.criterion.path='$OFFLINE/criterion'" \
+        "$@"
+}
 
-# Point every external dependency at the offline stand-ins.
-cat >>"$SHADOW/Cargo.toml" <<EOF
-
-[patch.crates-io]
-parking_lot = { path = "$REPO/tools/offline/parking_lot" }
-bytes = { path = "$REPO/tools/offline/bytes" }
-crossbeam = { path = "$REPO/tools/offline/crossbeam" }
-rand = { path = "$REPO/tools/offline/rand" }
-criterion = { path = "$REPO/tools/offline/criterion" }
-proptest = { path = "$REPO/tools/offline/proptest" }
-EOF
-
-# The proptest stand-in only satisfies dependency resolution; drop the
-# tests that would link against it.
-rm -f "$SHADOW/tests/proptests.rs" "$SHADOW/crates/netsim/tests/properties.rs"
-python3 - "$SHADOW/crates/maqs/Cargo.toml" <<'EOF'
-import re, sys
-path = sys.argv[1]
-text = open(path).read()
-text = re.sub(r'\[\[test\]\]\nname = "proptests"\npath = "[^"]*"\n?', "", text)
-open(path, "w").write(text)
-EOF
-
-export CARGO_NET_OFFLINE=true
-cd "$SHADOW"
 if [ "$#" -gt 0 ]; then
-    exec cargo "$@"
+    run "$@"
+else
+    run build --workspace
+    run test -q --workspace
 fi
-cargo build --workspace
-cargo test -q --workspace
